@@ -838,6 +838,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    scenario = getattr(args, "scenario", None)
+    if scenario is not None and scenario.upper() not in ALL_SCENARIOS:
+        known = ", ".join(sorted(ALL_SCENARIOS))
+        raise SystemExit(f"error: unknown scenario {scenario!r}; known: {known}")
     return args.func(args)
 
 

@@ -378,6 +378,99 @@ class _FrameIngest:
         )
 
 
+@dataclass
+class _FramePlan:
+    """What one frame is, decided before any of its work runs.
+
+    ``down`` holds the cameras the fault plan took down; the frame's
+    cameras skip ``effective_down``, which adds cameras stalled behind
+    an ingest burst and cameras the watchdog quarantined.
+    ``transitions`` lists this frame's leadership changes (failover,
+    then partition). ``authorities`` is set only under scheduler
+    partitions: the acting schedulers, each over its reachable side.
+    """
+
+    frame_idx: int
+    frame_faults: Optional[FrameFaults]
+    down: frozenset
+    effective_down: frozenset
+    quarantined: frozenset
+    probation: frozenset
+    forced_key: bool
+    is_key: bool
+    transitions: Tuple[object, ...]
+    authorities: Optional[Tuple[Authority, ...]]
+
+
+@dataclass
+class _WorldView:
+    """The advanced world as this frame's consumers see it.
+
+    ``lagged`` is each camera's view (lag, drift and freeze applied).
+    ``cache`` shares batched projections across consumers on the
+    ``soa`` path and is None on the scalar reference path.
+    """
+
+    objects: list
+    lagged: Dict[int, list]
+    cache: Optional[FrameProjectionCache]
+    multipliers: Dict[int, Dict[int, float]] = field(default_factory=dict)
+    visible_gt: frozenset = field(default_factory=frozenset)
+    coverage_lost: frozenset = field(default_factory=frozenset)
+
+    def boxes(self, camera, objects) -> Optional[Dict[int, object]]:
+        """``camera``'s box table for ``objects`` (None: scalar path)."""
+        return None if self.cache is None else self.cache.boxes(camera, objects)
+
+    def coverage_sets(self, rig: CameraRig):
+        """Covering camera ids of every object some camera observes."""
+        if self.cache is None:
+            return (rig.coverage_set(obj) for obj in self.objects)
+        return self.cache.coverage_table(rig.cameras, self.objects).values()
+
+    def split_coverage(
+        self, rig: CameraRig, down: frozenset
+    ) -> Tuple[frozenset, frozenset]:
+        """(visible_gt, coverage_lost) of the world objects under ``down``."""
+        if self.cache is None:
+            return _split_coverage(self.objects, down, rig.coverage_set)
+        # Whole-frame coverage in one table pull; its keys are exactly
+        # the ids some camera can observe, so the fault-free split needs
+        # no per-object calls.
+        table = self.cache.coverage_table(rig.cameras, self.objects)
+        if not down:
+            return frozenset(table), frozenset()
+        return _split_coverage(
+            self.objects, down, lambda o: table.get(o.object_id, ())
+        )
+
+
+@dataclass
+class _FrameWork:
+    """What one frame's camera work produced, key or regular."""
+
+    overheads: Dict[str, float]
+    inference: Dict[int, float] = field(default_factory=dict)
+    detected: set = field(default_factory=set)
+    n_slices: Dict[int, int] = field(default_factory=dict)
+    #: Distinct ground-truth objects each camera saw on a key frame
+    #: (filled only when the health watchdog reads it).
+    key_detected: Dict[int, int] = field(default_factory=dict)
+
+    @classmethod
+    def start(cls, plan: _FramePlan) -> _FrameWork:
+        """Empty work, charged with the plan's leadership-change costs.
+
+        Restore/sync/claim-broadcast time of a leadership change,
+        modeled through the link and overhead models, lands on the
+        frame that saw it.
+        """
+        overheads: Dict[str, float] = {}
+        if plan.transitions:
+            overheads["failover"] = sum(t.cost_ms for t in plan.transitions)
+        return cls(overheads)
+
+
 def trained_models_key(
     cache: ArtifactCache,
     scenario: Scenario,
@@ -507,24 +600,7 @@ class Pipeline:
         A per-run metrics registry snapshot always lands in
         ``RunResult.metrics``.
         """
-        config = self.config
-        if config.trace:
-            tracer = Tracer()
-            activation = use_tracer(tracer)
-        else:
-            tracer = get_tracer()
-            activation = nullcontext()
-        registry = MetricsRegistry()
-        with activation:
-            state = self._init_state(registry)
-            if config.runtime == "event":
-                result = self._event_loop(state, tracer)
-            else:
-                result = self._frame_loop(state, tracer)
-        if config.trace:
-            result.spans = tracer.records
-        result.metrics = registry.export()
-        return result
+        return self._drive(lambda: self._init_state(MetricsRegistry()))
 
     def resume_state(self, state: _RunState) -> RunResult:
         """Continue a checkpointed run from ``state`` to completion.
@@ -534,6 +610,15 @@ class Pipeline:
         plumbing, but the frame loop picks up at ``state.next_frame``
         with the checkpointed registry instead of a fresh one.
         """
+        return self._drive(lambda: state)
+
+    def _drive(self, make_state: Callable[[], _RunState]) -> RunResult:
+        """Run the configured loop inside the ``run`` span.
+
+        The state is built under the run's tracer. The post-run
+        accounting runs exactly once per run, at completion: an
+        interrupted (checkpointed) run leaves it to its continuation.
+        """
         config = self.config
         if config.trace:
             tracer = Tracer()
@@ -541,8 +626,19 @@ class Pipeline:
         else:
             tracer = get_tracer()
             activation = nullcontext()
+        loop = self._event_loop if config.runtime == "event" else self._frame_loop
         with activation:
-            result = self._frame_loop(state, tracer)
+            state = make_state()
+            with tracer.span(
+                "run",
+                policy=config.policy,
+                scenario=self.scenario.name,
+                horizon=config.horizon,
+            ):
+                completed = loop(state, tracer)
+            if completed:
+                self._finalize(state)
+        result = state.result
         if config.trace:
             result.spans = tracer.records
         result.metrics = state.registry.export()
@@ -687,49 +783,35 @@ class Pipeline:
             ),
         )
 
-    def _frame_loop(self, state: _RunState, tracer) -> RunResult:
-        """Advance ``state`` frame by frame until the run completes.
+    def _frame_loop(self, state: _RunState, tracer) -> bool:
+        """Advance ``state`` frame by frame; False when interrupted.
 
         Everything the loop mutates lives on ``state``, so checkpointing
         mid-run is just pickling ``state`` between two frames.
         """
         config = self.config
-        interrupted = False
-        run_span = tracer.span(
-            "run",
-            policy=config.policy,
-            scenario=self.scenario.name,
-            horizon=config.horizon,
-        )
-        with run_span:
-            for frame_idx in range(state.next_frame, state.total_frames):
-                self._process_frame(state, tracer, frame_idx)
-                # Between two frames the run is crash-consistent: snapshot
-                # the state if the checkpoint cadence (or a simulated
-                # interruption) says so.
-                if config.checkpoint_path is not None:
-                    done = state.next_frame
-                    if (
-                        config.stop_after_frames is not None
-                        and done == config.stop_after_frames
-                        and done < state.total_frames
-                    ):
-                        self._save_state(state)
-                        interrupted = True
-                        break
-                    if (
-                        config.checkpoint_every > 0
-                        and done % config.checkpoint_every == 0
-                    ):
-                        self._save_state(state)
-        if interrupted:
-            # The post-run accounting must run exactly once per run, at
-            # completion — the resumed continuation will do it.
-            return state.result
-        self._finalize(state)
-        return state.result
+        for frame_idx in range(state.next_frame, state.total_frames):
+            self._process_frame(state, tracer, frame_idx)
+            # Between two frames the run is crash-consistent: snapshot
+            # the state if the checkpoint cadence (or a simulated
+            # interruption) says so.
+            if config.checkpoint_path is not None:
+                done = state.next_frame
+                if (
+                    config.stop_after_frames is not None
+                    and done == config.stop_after_frames
+                    and done < state.total_frames
+                ):
+                    self._save_state(state)
+                    return False
+                if (
+                    config.checkpoint_every > 0
+                    and done % config.checkpoint_every == 0
+                ):
+                    self._save_state(state)
+        return True
 
-    def _event_loop(self, state: _RunState, tracer) -> RunResult:
+    def _event_loop(self, state: _RunState, tracer) -> bool:
         """Advance the run on a deterministic event kernel.
 
         Frame arrivals (priority ``_EV_ARRIVAL``) flow into per-camera
@@ -817,20 +899,12 @@ class Pipeline:
                 priority=_EV_DISPATCH,
             )
 
-        run_span = tracer.span(
-            "run",
-            policy=config.policy,
-            scenario=self.scenario.name,
-            horizon=config.horizon,
-        )
-        with run_span:
-            kernel.run_until_idle()
+        kernel.run_until_idle()
         for cam in state.camera_ids:
             queues[cam].check_conservation()
         if bursty:
             self._export_ingest_counters(state.registry, queues)
-        self._finalize(state)
-        return state.result
+        return True
 
     def _drain_ingest(
         self, queues: Dict[int, BoundedFrameQueue], frame_idx: int
@@ -972,32 +1046,56 @@ class Pipeline:
     ) -> None:
         """Process one frame and fold the results back into ``state``.
 
-        The single frame-processing path shared by both runtimes;
-        ``ingest`` (event runtime only) carries the ingest edge's view of
-        the frame. A trivial ingest view — or ``None`` — leaves every
-        span, counter and RNG draw identical to the sync runtime.
+        The single frame-processing path shared by both runtimes, in the
+        paper's stages: plan the frame, advance the world, run either
+        the key-frame central stage or the regular-frame distributed
+        stage, then record. ``ingest`` (event runtime only) carries the
+        ingest edge's view of the frame. A trivial ingest view — or
+        ``None`` — leaves every span, counter and RNG draw identical to
+        the sync runtime.
+        """
+        plan = self._plan_frame(state, frame_idx, ingest)
+        frame_start = self.clock.now()
+        frame_tags = {"frame": frame_idx, "key": plan.is_key}
+        if state.faults is not None:
+            frame_tags["forced"] = plan.forced_key
+        with tracer.span("frame", **frame_tags):
+            if plan.frame_faults is not None:
+                self._apply_frame_faults(
+                    tracer, state.registry, plan.frame_faults, state.nodes,
+                    plan.forced_key,
+                )
+            for transition in plan.transitions:
+                self._record_transition(tracer, state.registry, transition)
+            if ingest is not None and ingest.any_active:
+                self._record_ingest(tracer, state.registry, ingest)
+            view = self._advance_world(state, tracer, plan)
+            if plan.is_key:
+                work = self._key_frame(state, tracer, plan, view, ingest)
+            else:
+                work = self._regular_frame(state, tracer, plan, view)
+            if state.health is not None:
+                self._observe_fleet_health(state, tracer, plan, view, work)
+        self._record_frame(state, plan, view, work, frame_start)
+
+    def _plan_frame(
+        self,
+        state: _RunState,
+        frame_idx: int,
+        ingest: Optional[_FrameIngest],
+    ) -> _FramePlan:
+        """Membership, faults and failover: is this a key frame, and why.
+
+        Advances the per-frame protocol state (previous down set, the
+        health watchdog's forced-key latch, the failover heartbeat and
+        partition machines) and accounts a key frame the scheduler
+        outage skips.
         """
         config = self.config
-        dt = state.dt
-        world = state.world
-        rig = state.rig
-        nodes = state.nodes
-        scheduler = state.scheduler
-        policies = state.policies
-        result = state.result
-        registry = state.registry
-        camera_ids = state.camera_ids
         faults = state.faults
-        retry = state.retry
-        stale_horizons = state.stale_horizons
-        occlusion = state.occlusion
-        history = state.history
-        camera_lags = state.camera_lags
-        failover = state.failover
-        central_amortized = state.central_amortized
-        prev_down = state.prev_down
         health = state.health
-
+        failover = state.failover
+        registry = state.registry
         # Membership view of this frame: transitions the watchdog took at
         # the end of frame N take effect on frame N+1, and the invariant
         # monitor sees the same view the frame is processed under (R5/R6).
@@ -1014,15 +1112,11 @@ class Pipeline:
 
         in_horizon = frame_idx % config.horizon
         frame_faults: Optional[FrameFaults] = (
-            faults.at(frame_idx, camera_ids)
+            faults.at(frame_idx, state.camera_ids)
             if faults is not None
             else None
         )
-        down = (
-            frame_faults.down
-            if frame_faults is not None
-            else frozenset()
-        )
+        down = frame_faults.down if frame_faults is not None else frozenset()
         # Cameras whose frame is stuck behind a burst process nothing this
         # tick, but they are *not* down: they still heartbeat and their
         # crash/rejoin membership is untouched.
@@ -1032,7 +1126,13 @@ class Pipeline:
             # A quarantined camera processes nothing: it is out of the
             # fleet until the watchdog walks it through probation.
             effective_down = effective_down | quarantined
-        forced_key = False
+
+        # Every cause that may force an early key frame is gathered
+        # first (each advances its own protocol state); one guard below
+        # decides whether the frame can be forced at all.
+        #
+        # A coalesced ingest backlog wants a central resynchronization.
+        wants_key = ingest is not None and ingest.forced_key
         if faults is not None:
             # Camera crash/rejoin triggers an early key frame: the
             # central stage re-runs BALB on the surviving set so the
@@ -1043,52 +1143,37 @@ class Pipeline:
             # reacting to its heartbeats is exactly the thrash the
             # quarantine exists to stop.
             visible_down = down - quarantined if quarantined else down
-            membership_changed = visible_down != prev_down
-            prev_down = visible_down
-            forced_key = (
-                scheduler is not None
-                and membership_changed
-                and config.policy != "full"
-                and in_horizon != 0
-            )
+            if visible_down != state.prev_down:
+                wants_key = True
+            state.prev_down = visible_down
             if health is not None:
                 # A watchdog membership change last frame re-runs the
                 # central stage over the new membership now; probation
                 # warm-up forces key frames for the whole dwell.
-                if (
-                    (state.health_forced_key or probation)
-                    and scheduler is not None
-                    and config.policy != "full"
-                    and in_horizon != 0
-                ):
-                    forced_key = True
+                if state.health_forced_key or probation:
+                    wants_key = True
                 state.health_forced_key = False
-        # Scheduler failover: advance the heartbeat/lease protocol
-        # one frame. A leadership change forces a key frame (the
-        # new leader re-runs the central stage from its replica);
-        # while nobody leads, key frames are suppressed and the
-        # fleet runs distributed-only on last-known masks.
-        transition = None
-        partition_transition = None
+        # Scheduler failover: advance the heartbeat/lease protocol one
+        # frame. A leadership change forces a key frame (the new leader
+        # re-runs the central stage from its replica); while nobody
+        # leads, key frames are suppressed and the fleet runs
+        # distributed-only on last-known masks.
+        transitions: Tuple[object, ...] = ()
         central_ok = True
         authorities: Optional[Tuple[Authority, ...]] = None
         if failover is not None:
-            live = [c for c in camera_ids if c not in down]
+            live = [c for c in state.camera_ids if c not in down]
             transition = failover.step(
                 frame_idx,
-                frame_faults is not None
-                and frame_faults.scheduler_down,
+                frame_faults is not None and frame_faults.scheduler_down,
                 live,
             )
             central_ok = failover.central_available
-            if transition is not None:
-                forced_key = forced_key or in_horizon != 0
-            if faults is not None and faults.has_scheduler_partitions:
+            partition_transition = None
+            if faults.has_scheduler_partitions:
                 # Scheduler partition: the cut side may elect its own
-                # leader (split-brain unless epochs fence it). The
-                # per-authority scheduling below replaces the single
-                # schedule() call only on this code path — runs without
-                # partition faults keep the pre-partition behaviour.
+                # leader (split-brain unless epochs fence it), and each
+                # acting authority schedules its own side.
                 cut = sorted(
                     frame_faults.sched_partitioned & frozenset(live)
                     if frame_faults is not None
@@ -1097,512 +1182,395 @@ class Pipeline:
                 partition_transition = failover.step_partition(
                     frame_idx, cut, live
                 )
-                if partition_transition is not None or (
-                    failover.reclaim_pending
-                ):
-                    forced_key = forced_key or in_horizon != 0
+                if failover.reclaim_pending:
+                    wants_key = True
                 authorities = failover.authorities(live, cut)
-        if (
-            ingest is not None
-            and ingest.forced_key
-            and scheduler is not None
+            transitions = tuple(
+                t for t in (transition, partition_transition) if t is not None
+            )
+            if transitions:
+                wants_key = True
+        forced_key = (
+            wants_key
+            and state.scheduler is not None
             and config.policy != "full"
             and in_horizon != 0
-        ):
-            # A coalesced backlog wants a central resynchronization.
-            forced_key = True
+        )
         is_key = config.policy == "full" or (
             (in_horizon == 0 or forced_key) and central_ok
         )
-        if (
-            failover is not None
-            and not central_ok
-            and (in_horizon == 0 or forced_key)
-        ):
-            # A scheduled (or forced) key frame lands in the
-            # outage window: skip it, everyone's decision goes
-            # one horizon staler.
+        if not central_ok and (in_horizon == 0 or forced_key):
+            # A scheduled (or forced) key frame lands in the outage
+            # window: skip it, everyone's decision goes one horizon
+            # staler.
             registry.counter("skipped_key_frames_total").inc()
-            for cam_id in camera_ids:
+            for cam_id in state.camera_ids:
                 if cam_id not in down:
-                    stale_horizons[cam_id] += 1
+                    state.stale_horizons[cam_id] += 1
                     registry.gauge(
-                        "assignment_staleness_horizons",
-                        camera=cam_id,
-                    ).set(stale_horizons[cam_id])
-        frame_start = self.clock.now()
+                        "assignment_staleness_horizons", camera=cam_id
+                    ).set(state.stale_horizons[cam_id])
+        return _FramePlan(
+            frame_idx=frame_idx,
+            frame_faults=frame_faults,
+            down=down,
+            effective_down=effective_down,
+            quarantined=quarantined,
+            probation=probation,
+            forced_key=forced_key,
+            is_key=is_key,
+            transitions=transitions,
+            authorities=authorities,
+        )
 
-        frame_tags = {"frame": frame_idx, "key": is_key}
-        if faults is not None:
-            frame_tags["forced"] = forced_key
-        with tracer.span("frame", **frame_tags):
-            if frame_faults is not None:
-                self._apply_frame_faults(
-                    tracer, registry, frame_faults, nodes, forced_key
-                )
-            if transition is not None:
-                self._record_transition(tracer, registry, transition)
-            if partition_transition is not None:
-                self._record_transition(
-                    tracer, registry, partition_transition
-                )
-            if ingest is not None and ingest.any_active:
-                self._record_ingest(tracer, registry, ingest)
-            with tracer.span("sim.advance"):
-                world.step(dt)
-                objects = world.objects
-                if history is not None:
-                    history.push(objects)
-                drift_lags = (
-                    frame_faults.drift_lags
-                    if frame_faults is not None
-                    else {}
-                )
-                lagged_objects = {
-                    cam_id: (
-                        history.view(
-                            drifted_lag(
-                                lag,
-                                drift_lags.get(cam_id, 0),
-                                history.depth,
-                            )
-                            if drift_lags
-                            else lag
+    def _advance_world(
+        self, state: _RunState, tracer, plan: _FramePlan
+    ) -> _WorldView:
+        """Step the world, build each camera's view, split coverage.
+
+        One projection cache per frame: every consumer (occlusion,
+        coverage, detection, new regions, health) shares each camera's
+        batched projection table instead of re-projecting the same
+        objects. ``sim_path="scalar"`` keeps the per-object reference
+        path as the bit-identity oracle.
+        """
+        rig = state.rig
+        history = state.history
+        occlusion = state.occlusion
+        frame_faults = plan.frame_faults
+        effective_down = plan.effective_down
+        with tracer.span("sim.advance"):
+            state.world.step(state.dt)
+            objects = state.world.objects
+            if history is not None:
+                history.push(objects)
+            drift_lags = (
+                frame_faults.drift_lags if frame_faults is not None else {}
+            )
+            lagged = {
+                cam_id: (
+                    history.view(
+                        drifted_lag(
+                            lag, drift_lags.get(cam_id, 0), history.depth
                         )
-                        if history is not None
-                        else objects
+                        if drift_lags
+                        else lag
                     )
-                    for cam_id, lag in camera_lags.items()
+                    if history is not None
+                    else objects
+                )
+                for cam_id, lag in state.camera_lags.items()
+            }
+            if state.faults is not None and state.faults.has_sensor_faults:
+                self._apply_frozen_views(state, frame_faults, lagged)
+            view = _WorldView(
+                objects,
+                lagged,
+                FrameProjectionCache(rig.cameras)
+                if self.config.sim_path == "soa"
+                else None,
+            )
+            if occlusion is not None:
+                fractions_by_cam = {
+                    cam.camera_id: visible_fractions(
+                        cam, objects, boxes=view.boxes(cam, objects)
+                    )
+                    for cam in rig
                 }
-                if faults is not None and faults.has_sensor_faults:
-                    self._apply_frozen_views(
-                        state, frame_faults, lagged_objects
-                    )
-                # One projection cache per frame: every consumer below
-                # (occlusion, coverage, detection, new regions, health)
-                # shares each camera's batched projection table instead
-                # of re-projecting the same objects. sim_path="scalar"
-                # keeps the per-object reference path as the
-                # bit-identity oracle.
-                cache = (
-                    FrameProjectionCache(rig.cameras)
-                    if config.sim_path == "soa"
-                    else None
-                )
-                multipliers: Dict[int, Dict[int, float]] = {}
-                if occlusion is not None:
-                    fractions_by_cam = {
-                        cam.camera_id: visible_fractions(
-                            cam,
-                            objects,
-                            boxes=(
-                                cache.boxes(cam, objects)
-                                if cache is not None
-                                else None
-                            ),
-                        )
-                        for cam in rig
+                view.multipliers = {
+                    cam_id: {
+                        oid: occlusion.miss_multiplier(frac)
+                        for oid, frac in fractions.items()
                     }
-                    multipliers = {
-                        cam_id: {
-                            oid: occlusion.miss_multiplier(frac)
-                            for oid, frac in fractions.items()
-                        }
-                        for cam_id, fractions in fractions_by_cam.items()
-                    }
-                    visible_gt, coverage_lost = _split_coverage(
-                        objects,
-                        effective_down,
-                        lambda o: [
-                            c
-                            for c in fractions_by_cam
-                            if occlusion.effectively_visible(
-                                fractions_by_cam[c].get(
-                                    o.object_id, 0.0
-                                )
-                            )
-                        ],
-                    )
-                elif cache is not None:
-                    # Whole-frame coverage in one table pull; its keys
-                    # are exactly the ids some camera can observe, so
-                    # the fault-free split needs no per-object calls.
-                    table = cache.coverage_table(rig.cameras, objects)
-                    if effective_down:
-                        visible_gt, coverage_lost = _split_coverage(
-                            objects,
-                            effective_down,
-                            lambda o: table.get(o.object_id, ()),
-                        )
-                    else:
-                        visible_gt = frozenset(table)
-                        coverage_lost = frozenset()
-                else:
-                    visible_gt, coverage_lost = _split_coverage(
-                        objects,
-                        effective_down,
-                        rig.coverage_set,
-                    )
-
-            inference: Dict[int, float] = {}
-            detected: set = set()
-            overheads: Dict[str, float] = {}
-            n_slices: Dict[int, int] = {}
-            key_detected: Dict[int, int] = {}
-            if transition is not None or partition_transition is not None:
-                # Restore/sync/claim-broadcast time of the
-                # leadership change, modeled through the link and
-                # overhead models, lands on this frame.
-                overheads["failover"] = sum(
-                    t.cost_ms
-                    for t in (transition, partition_transition)
-                    if t is not None
-                )
-
-            if is_key:
-                reports = {}
-                tracking = []
-                with tracer.span("central_stage"):
-                    for cam_id, node in nodes.items():
-                        if cam_id in effective_down:
-                            continue
-                        with tracer.span(
-                            "camera.key_frame", camera=cam_id
-                        ):
-                            outcome = node.process_key_frame(
-                                lagged_objects[cam_id],
-                                multipliers.get(cam_id),
-                                boxes=(
-                                    cache.boxes(
-                                        node.camera,
-                                        lagged_objects[cam_id],
-                                    )
-                                    if cache is not None
-                                    else None
-                                ),
-                            )
-                        inference[cam_id] = outcome.inference_ms
-                        detected.update(
-                            d.gt_object_id
-                            for d in outcome.detections
-                            if d.gt_object_id >= 0
-                        )
-                        if health is not None:
-                            # Report quality signal for the watchdog:
-                            # distinct ground-truth objects this camera
-                            # actually saw on its key frame.
-                            key_detected[cam_id] = len(
-                                {
-                                    d.gt_object_id
-                                    for d in outcome.detections
-                                    if d.gt_object_id >= 0
-                                }
-                            )
-                        if ingest is not None and cam_id in ingest.degraded:
-                            # Degraded mode: the camera runs the frame
-                            # locally but sits out the central stage to
-                            # catch up; the stale-decision fallback below
-                            # keeps it on its last-known mask.
-                            with tracer.span("ingest.degrade", camera=cam_id):
-                                pass
-                            registry.counter(
-                                "ingest_degraded_frames_total",
-                                camera=cam_id,
-                            ).inc()
-                            ingest.applied_degrades.add(cam_id)
-                            tracking.append(outcome.tracking_ms)
-                            continue
-                        reports[cam_id] = outcome.report
-                        tracking.append(outcome.tracking_ms)
-                    overheads["tracking"] = (
-                        max(tracking) if tracking else 0.0
-                    )
-                    if scheduler is not None and reports:
-                        link_faults = (
-                            frame_faults.link_faults
-                            if frame_faults is not None
-                            else None
-                        )
-                        wire_active = faults is not None and (
-                            faults.has_wire_faults
-                            or faults.has_scheduler_partitions
-                        )
-                        #: camera -> (decision, issuing epoch)
-                        assignments: Dict[
-                            int, Tuple[ScheduleDecision, int]
-                        ] = {}
-                        total_retries = 0
-                        if authorities is None:
-                            replicate_to = (
-                                failover.replication_target(
-                                    sorted(reports)
-                                )
-                                if failover is not None
-                                else None
-                            )
-                            decision = scheduler.schedule(
-                                reports,
-                                frame_idx,
-                                link_faults=link_faults,
-                                retry=retry,
-                                replicate_to=replicate_to,
-                                no_authority=probation,
-                            )
-                            if (
-                                replicate_to is not None
-                                and decision.checkpoint is not None
-                            ):
-                                self._record_replication(
-                                    tracer,
-                                    registry,
-                                    failover,
-                                    decision.checkpoint,
-                                    replicate_to,
-                                    replicate_to in decision.delivered,
-                                )
-                            issue_epoch = (
-                                failover.epoch
-                                if failover is not None
-                                else 0
-                            )
-                            if state.invariants is not None:
-                                state.invariants.observe_issue(
-                                    frame_idx,
-                                    issue_epoch,
-                                    failover.leader_id
-                                    if failover is not None
-                                    else PRIMARY,
-                                )
-                            for cam_id in nodes:
-                                assignments[cam_id] = (
-                                    decision, issue_epoch
-                                )
-                            total_retries = decision.comm_retries
-                            central_amortized = (
-                                decision.central_ms + decision.comm_ms
-                            ) / config.horizon
-                        else:
-                            # Split scheduling: each acting authority
-                            # runs the central stage over its own
-                            # reachable side of the cut, at its own
-                            # epoch. Costs overlap in time (the sides
-                            # are concurrent), so the amortized charge
-                            # is the slower side's.
-                            central_peak = 0.0
-                            for authority in authorities:
-                                auth_reports = {
-                                    c: reports[c]
-                                    for c in sorted(authority.reach)
-                                    if c in reports
-                                }
-                                if not auth_reports:
-                                    continue
-                                replicate_to = (
-                                    failover.replication_target(
-                                        sorted(auth_reports)
-                                    )
-                                    if authority.leader_id == PRIMARY
-                                    else None
-                                )
-                                decision = scheduler.schedule(
-                                    auth_reports,
-                                    frame_idx,
-                                    link_faults=link_faults,
-                                    retry=retry,
-                                    replicate_to=replicate_to,
-                                    no_authority=probation,
-                                )
-                                if (
-                                    replicate_to is not None
-                                    and decision.checkpoint is not None
-                                ):
-                                    self._record_replication(
-                                        tracer,
-                                        registry,
-                                        failover,
-                                        decision.checkpoint,
-                                        replicate_to,
-                                        replicate_to
-                                        in decision.delivered,
-                                    )
-                                if state.invariants is not None:
-                                    state.invariants.observe_issue(
-                                        frame_idx,
-                                        authority.epoch,
-                                        authority.leader_id,
-                                    )
-                                for cam_id in sorted(authority.reach):
-                                    assignments[cam_id] = (
-                                        decision, authority.epoch
-                                    )
-                                total_retries += decision.comm_retries
-                                central_peak = max(
-                                    central_peak,
-                                    decision.central_ms
-                                    + decision.comm_ms,
-                                )
-                            central_amortized = (
-                                central_peak / config.horizon
-                            )
-                        for cam_id, node in nodes.items():
-                            if cam_id in down or cam_id in quarantined:
-                                # R5: a quarantined camera is out of the
-                                # membership — no assignment download may
-                                # reach it until probation readmits it.
-                                continue
-                            entry = assignments.get(cam_id)
-                            delivered_ok = (
-                                entry is not None
-                                and cam_id in entry[0].delivered
-                            )
-                            if delivered_ok and wire_active:
-                                # Hardened wire protocol: the download
-                                # passes the camera's receiver guard
-                                # (checksum, dedupe, epoch fence)
-                                # before it may be applied.
-                                delivered_ok = self._admit_assignment(
-                                    tracer,
-                                    registry,
-                                    node,
-                                    cam_id,
-                                    frame_idx,
-                                    entry[1],
-                                    entry[0],
-                                )
-                            if delivered_ok:
-                                decision_c, epoch_c = entry
-                                node.apply_schedule(
-                                    decision_c.assigned.get(cam_id, []),
-                                    decision_c.shadows.get(cam_id, {}),
-                                )
-                                if state.invariants is not None:
-                                    state.invariants.observe_applied(
-                                        frame_idx, cam_id, epoch_c
-                                    )
-                                stale_horizons[cam_id] = 0
-                                if config.policy in ("balb", "balb-cen"):
-                                    policies[cam_id] = (
-                                        self._balb_policy_for(
-                                            scheduler,
-                                            cam_id,
-                                            decision_c.priority_order,
-                                        )
-                                    )
-                            else:
-                                # Stale-decision fallback: the camera
-                                # keeps the BALB distributed stage on
-                                # its last-known mask and priority
-                                # order.
-                                stale_horizons[cam_id] += 1
-                                registry.counter(
-                                    "assignment_fallbacks_total",
-                                    camera=cam_id,
-                                ).inc()
-                            if faults is not None:
-                                registry.gauge(
-                                    "assignment_staleness_horizons",
-                                    camera=cam_id,
-                                ).set(stale_horizons[cam_id])
-                        if faults is not None and total_retries:
-                            registry.counter(
-                                "message_retries_total"
-                            ).inc(total_retries)
-                overheads["central"] = central_amortized
-                registry.counter("key_frames_total").inc()
-            else:
-                tracking, distributed, batching = [], [], []
-                with tracer.span("distributed_stage"):
-                    for cam_id, node in nodes.items():
-                        if cam_id in effective_down:
-                            continue
-                        with tracer.span(
-                            "camera.regular_frame", camera=cam_id
-                        ):
-                            outcome = node.process_regular_frame(
-                                lagged_objects[cam_id],
-                                policies[cam_id],
-                                multipliers.get(cam_id),
-                                boxes=(
-                                    cache.boxes(
-                                        node.camera,
-                                        lagged_objects[cam_id],
-                                    )
-                                    if cache is not None
-                                    else None
-                                ),
-                            )
-                        inference[cam_id] = outcome.inference_ms
-                        detected.update(
-                            d.gt_object_id
-                            for d in outcome.detections
-                            if d.gt_object_id >= 0
-                        )
-                        n_slices[cam_id] = outcome.n_slices
-                        tracking.append(outcome.tracking_ms)
-                        distributed.append(outcome.distributed_ms)
-                        batching.append(outcome.batching_ms)
-                overheads["tracking"] = (
-                    max(tracking) if tracking else 0.0
-                )
-                overheads["distributed"] = (
-                    max(distributed) if distributed else 0.0
-                )
-                overheads["batching"] = max(batching) if batching else 0.0
-                overheads["central"] = central_amortized
-                registry.counter("regular_frames_total").inc()
-                registry.counter("slices_total").inc(
-                    sum(n_slices.values())
-                )
-
-            if health is not None:
-                self._observe_fleet_health(
-                    state,
-                    tracer,
-                    frame_idx,
-                    frame_faults,
-                    down,
-                    lagged_objects,
+                    for cam_id, fractions in fractions_by_cam.items()
+                }
+                view.visible_gt, view.coverage_lost = _split_coverage(
                     objects,
-                    is_key,
-                    key_detected,
-                    overheads,
-                    cache,
+                    effective_down,
+                    lambda o: [
+                        c
+                        for c in fractions_by_cam
+                        if occlusion.effectively_visible(
+                            fractions_by_cam[c].get(o.object_id, 0.0)
+                        )
+                    ],
                 )
+            else:
+                view.visible_gt, view.coverage_lost = view.split_coverage(
+                    rig, effective_down
+                )
+        return view
 
+    def _key_frame(
+        self,
+        state: _RunState,
+        tracer,
+        plan: _FramePlan,
+        view: _WorldView,
+        ingest: Optional[_FrameIngest],
+    ) -> _FrameWork:
+        """Central stage: full-frame detection, reports, then BALB.
+
+        Every live camera detects on the full frame and reports; the
+        scheduler associates the reports and runs Algorithm 1, and each
+        camera applies the assignment it received.
+        """
+        registry = state.registry
+        work = _FrameWork.start(plan)
+        reports = {}
+        tracking = []
+        with tracer.span("central_stage"):
+            for cam_id, node in state.nodes.items():
+                if cam_id in plan.effective_down:
+                    continue
+                objects = view.lagged[cam_id]
+                with tracer.span("camera.key_frame", camera=cam_id):
+                    outcome = node.process_key_frame(
+                        objects,
+                        view.multipliers.get(cam_id),
+                        boxes=view.boxes(node.camera, objects),
+                    )
+                work.inference[cam_id] = outcome.inference_ms
+                work.detected.update(
+                    d.gt_object_id
+                    for d in outcome.detections
+                    if d.gt_object_id >= 0
+                )
+                if state.health is not None:
+                    # Report quality signal for the watchdog: distinct
+                    # ground-truth objects this camera actually saw on
+                    # its key frame.
+                    work.key_detected[cam_id] = len(
+                        {
+                            d.gt_object_id
+                            for d in outcome.detections
+                            if d.gt_object_id >= 0
+                        }
+                    )
+                tracking.append(outcome.tracking_ms)
+                if ingest is not None and cam_id in ingest.degraded:
+                    # Degraded mode: the camera runs the frame locally
+                    # but sits out the central stage to catch up; the
+                    # stale-decision fallback keeps it on its last-known
+                    # mask.
+                    with tracer.span("ingest.degrade", camera=cam_id):
+                        pass
+                    registry.counter(
+                        "ingest_degraded_frames_total", camera=cam_id
+                    ).inc()
+                    ingest.applied_degrades.add(cam_id)
+                    continue
+                reports[cam_id] = outcome.report
+            work.overheads["tracking"] = max(tracking) if tracking else 0.0
+            if state.scheduler is not None and reports:
+                self._schedule(state, tracer, plan, reports)
+        work.overheads["central"] = state.central_amortized
+        registry.counter("key_frames_total").inc()
+        return work
+
+    def _schedule(
+        self, state: _RunState, tracer, plan: _FramePlan, reports: Dict
+    ) -> None:
+        """Run the central stage per authority and deliver assignments.
+
+        Without a scheduler partition there is one authority — the
+        current leader, over every camera. During a split each acting
+        authority schedules its own reachable side at its own epoch;
+        the sides run concurrently, so the amortized charge is the
+        slower side's. The leader replicates its checkpoint when there
+        is no partition; during a split only the primary does.
+        """
+        config = self.config
+        scheduler = state.scheduler
+        failover = state.failover
+        registry = state.registry
+        faults = state.faults
+        frame_idx = plan.frame_idx
+        authorities = plan.authorities
+        split = authorities is not None
+        if not split:
+            authorities = (
+                Authority(PRIMARY, 0, frozenset(state.nodes))
+                if failover is None
+                else Authority(
+                    failover.leader_id, failover.epoch, frozenset(state.nodes)
+                ),
+            )
+        link_faults = (
+            plan.frame_faults.link_faults
+            if plan.frame_faults is not None
+            else None
+        )
+        #: camera -> (decision, issuing epoch)
+        assignments: Dict[int, Tuple[ScheduleDecision, int]] = {}
+        total_retries = 0
+        central_peak = 0.0
+        for authority in authorities:
+            auth_reports = {
+                c: r for c, r in reports.items() if c in authority.reach
+            }
+            if not auth_reports:
+                continue
+            replicate_to = (
+                failover.replication_target(sorted(auth_reports))
+                if failover is not None
+                and (not split or authority.leader_id == PRIMARY)
+                else None
+            )
+            decision = scheduler.schedule(
+                auth_reports,
+                frame_idx,
+                link_faults=link_faults,
+                retry=state.retry,
+                replicate_to=replicate_to,
+                no_authority=plan.probation,
+            )
+            if replicate_to is not None and decision.checkpoint is not None:
+                self._record_replication(
+                    tracer,
+                    registry,
+                    failover,
+                    decision.checkpoint,
+                    replicate_to,
+                    replicate_to in decision.delivered,
+                )
+            if state.invariants is not None:
+                state.invariants.observe_issue(
+                    frame_idx, authority.epoch, authority.leader_id
+                )
+            for cam_id in sorted(authority.reach):
+                assignments[cam_id] = (decision, authority.epoch)
+            total_retries += decision.comm_retries
+            central_peak = max(
+                central_peak, decision.central_ms + decision.comm_ms
+            )
+        state.central_amortized = central_peak / config.horizon
+
+        wire_active = faults is not None and (
+            faults.has_wire_faults or faults.has_scheduler_partitions
+        )
+        for cam_id, node in state.nodes.items():
+            if cam_id in plan.down or cam_id in plan.quarantined:
+                # R5: a quarantined camera is out of the membership — no
+                # assignment download may reach it until probation
+                # readmits it.
+                continue
+            entry = assignments.get(cam_id)
+            delivered_ok = entry is not None and cam_id in entry[0].delivered
+            if delivered_ok and wire_active:
+                # Hardened wire protocol: the download passes the
+                # camera's receiver guard (checksum, dedupe, epoch
+                # fence) before it may be applied.
+                delivered_ok = self._admit_assignment(
+                    tracer, registry, node, cam_id, frame_idx, entry[1],
+                    entry[0],
+                )
+            if delivered_ok:
+                decision, epoch = entry
+                node.apply_schedule(
+                    decision.assigned.get(cam_id, []),
+                    decision.shadows.get(cam_id, {}),
+                )
+                if state.invariants is not None:
+                    state.invariants.observe_applied(frame_idx, cam_id, epoch)
+                state.stale_horizons[cam_id] = 0
+                if config.policy in ("balb", "balb-cen"):
+                    state.policies[cam_id] = self._balb_policy_for(
+                        scheduler, cam_id, decision.priority_order
+                    )
+            else:
+                # Stale-decision fallback: the camera keeps the BALB
+                # distributed stage on its last-known mask and priority
+                # order.
+                state.stale_horizons[cam_id] += 1
+                registry.counter(
+                    "assignment_fallbacks_total", camera=cam_id
+                ).inc()
+            if faults is not None:
+                registry.gauge(
+                    "assignment_staleness_horizons", camera=cam_id
+                ).set(state.stale_horizons[cam_id])
+        if faults is not None and total_retries:
+            registry.counter("message_retries_total").inc(total_retries)
+
+    def _regular_frame(
+        self, state: _RunState, tracer, plan: _FramePlan, view: _WorldView
+    ) -> _FrameWork:
+        """Distributed stage: slices under each camera's policy masks."""
+        work = _FrameWork.start(plan)
+        tracking, distributed, batching = [], [], []
+        with tracer.span("distributed_stage"):
+            for cam_id, node in state.nodes.items():
+                if cam_id in plan.effective_down:
+                    continue
+                objects = view.lagged[cam_id]
+                with tracer.span("camera.regular_frame", camera=cam_id):
+                    outcome = node.process_regular_frame(
+                        objects,
+                        state.policies[cam_id],
+                        view.multipliers.get(cam_id),
+                        boxes=view.boxes(node.camera, objects),
+                    )
+                work.inference[cam_id] = outcome.inference_ms
+                work.detected.update(
+                    d.gt_object_id
+                    for d in outcome.detections
+                    if d.gt_object_id >= 0
+                )
+                work.n_slices[cam_id] = outcome.n_slices
+                tracking.append(outcome.tracking_ms)
+                distributed.append(outcome.distributed_ms)
+                batching.append(outcome.batching_ms)
+        overheads = work.overheads
+        overheads["tracking"] = max(tracking) if tracking else 0.0
+        overheads["distributed"] = max(distributed) if distributed else 0.0
+        overheads["batching"] = max(batching) if batching else 0.0
+        overheads["central"] = state.central_amortized
+        state.registry.counter("regular_frames_total").inc()
+        state.registry.counter("slices_total").inc(
+            sum(work.n_slices.values())
+        )
+        return work
+
+    def _record_frame(
+        self,
+        state: _RunState,
+        plan: _FramePlan,
+        view: _WorldView,
+        work: _FrameWork,
+        frame_start: float,
+    ) -> None:
+        """Account the finished frame and fold it into the run result."""
+        registry = state.registry
         registry.counter("frames_total").inc()
         registry.histogram("frame_wall_ms").observe(
             (self.clock.now() - frame_start) * 1e3
         )
-        for cam_id, ms in inference.items():
-            registry.histogram("inference_ms", camera=cam_id).observe(
-                ms
+        for cam_id, ms in work.inference.items():
+            registry.histogram("inference_ms", camera=cam_id).observe(ms)
+        if state.faults is not None and view.coverage_lost:
+            registry.counter("coverage_lost_object_frames_total").inc(
+                len(view.coverage_lost)
             )
-        if faults is not None and coverage_lost:
-            registry.counter(
-                "coverage_lost_object_frames_total"
-            ).inc(len(coverage_lost))
         record = FrameRecord(
-            frame_index=frame_idx,
-            is_key_frame=is_key,
-            inference_ms=inference,
-            visible_gt=visible_gt,
-            detected_gt=frozenset(detected),
-            overheads_ms=overheads,
-            n_slices=n_slices,
-            coverage_lost=coverage_lost,
+            frame_index=plan.frame_idx,
+            is_key_frame=plan.is_key,
+            inference_ms=work.inference,
+            visible_gt=view.visible_gt,
+            detected_gt=frozenset(work.detected),
+            overheads_ms=work.overheads,
+            n_slices=work.n_slices,
+            coverage_lost=view.coverage_lost,
         )
         if state.invariants is not None:
             state.invariants.observe_frame(
-                frame_idx, visible_gt, coverage_lost
+                plan.frame_idx, view.visible_gt, view.coverage_lost
             )
-        result.add(record)
+        state.result.add(record)
         if self.serving is not None:
             self.serving.on_frame(record)
-        # Fold the loop-local mutations back into the state: between two
-        # frames the run is crash-consistent.
-        state.next_frame = frame_idx + 1
-        state.central_amortized = central_amortized
-        state.prev_down = prev_down
+        # Between two frames the run is crash-consistent.
+        state.next_frame = plan.frame_idx + 1
 
     def _apply_frozen_views(
         self,
@@ -1639,15 +1607,9 @@ class Pipeline:
         self,
         state: _RunState,
         tracer,
-        frame_idx: int,
-        frame_faults: Optional[FrameFaults],
-        down: frozenset,
-        lagged_objects: Dict[int, List],
-        objects,
-        is_key: bool,
-        key_detected: Dict[int, int],
-        overheads: Dict[str, float],
-        cache: Optional[FrameProjectionCache] = None,
+        plan: _FramePlan,
+        view: _WorldView,
+        work: _FrameWork,
     ) -> None:
         """End-of-frame health pass: signals -> watchdog -> membership.
 
@@ -1663,34 +1625,29 @@ class Pipeline:
         health = state.health
         assert health is not None
         registry = state.registry
+        frame_idx = plan.frame_idx
+        frame_faults = plan.frame_faults
         visible: Dict[int, int] = {}
-        if is_key:
+        if plan.is_key:
             # Denominator of the report-quality signal: how many objects
             # each camera could have seen this frame.
-            if cache is not None:
-                coverage = cache.coverage_table(
-                    state.rig.cameras, objects
-                ).values()
-            else:
-                coverage = (
-                    state.rig.coverage_set(obj) for obj in objects
-                )
-            for covered in coverage:
+            for covered in view.coverage_sets(state.rig):
                 for cam in covered:
                     visible[cam] = visible.get(cam, 0) + 1
         drift_lags = (
             frame_faults.drift_lags if frame_faults is not None else {}
         )
         signals: Dict[int, HealthSignals] = {}
+        key_detected = work.key_detected
         for cam in state.camera_ids:
-            alive = cam not in down
-            view = lagged_objects[cam]
+            alive = cam not in plan.down
+            seen = view.lagged[cam]
             # An empty view carries no content to hash; feeding a
             # frame-unique token (negative, outside crc32's range) keeps
             # an empty scene from reading as a frozen sensor.
-            token = content_token(view) if view else -frame_idx - 1
+            token = content_token(seen) if seen else -frame_idx - 1
             quality: Optional[float] = None
-            if is_key and cam in key_detected:
+            if plan.is_key and cam in key_detected:
                 quality = min(
                     1.0,
                     key_detected[cam] / max(1, visible.get(cam, 0)),
@@ -1744,8 +1701,8 @@ class Pipeline:
                     # to its overlapping peers. Modeled cost lands on
                     # this frame.
                     refit_ms = state.scheduler.refit_members(members)
-                    overheads["refit"] = (
-                        overheads.get("refit", 0.0) + refit_ms
+                    work.overheads["refit"] = (
+                        work.overheads.get("refit", 0.0) + refit_ms
                     )
                     with tracer.span(
                         "health.refit",
@@ -1951,7 +1908,6 @@ class Pipeline:
             if self.config.use_network
             else None
         )
-        mode = self.config.policy if self.config.policy != "balb-cen" else "balb-cen"
         positions = {
             c.camera_id: (c.pose.x, c.pose.y) for c in rig
         }
@@ -1961,7 +1917,7 @@ class Pipeline:
             frame_sizes={c.camera_id: c.frame_size for c in rig},
             typical_box_sizes=self.trained.typical_box_sizes,
             size_set=next(iter(self.trained.profiles.values())).size_set,
-            mode=mode,
+            mode=self.config.policy,
             mask_grid=self.config.mask_grid,
             overhead_model=self.overheads,
             channels=channels,

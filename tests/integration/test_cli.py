@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +73,42 @@ class TestCommands:
         assert code == 0
         content = out_file.read_text()
         assert "batch-awareness" in content
+
+
+    @pytest.mark.parametrize("command", ["run", "trace", "compare", "soak"])
+    @pytest.mark.parametrize("name", ["S9", "s9"])
+    def test_unknown_scenario_is_one_error_line(self, command, name):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", name])
+        assert exc.value.code == (
+            f"error: unknown scenario {name!r}; known: S1, S2, S3"
+        )
+
+    def test_lowercase_scenario_accepted(self, capsys):
+        code = main(
+            ["run", "--scenario", "s2", "--policy", "balb-ind",
+             "--horizon", "5", "--horizons", "1", "--train-duration", "20"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("Scenario S2:")
+
+
+GOLDEN_STDOUT = (
+    Path(__file__).resolve().parents[2] / ".github" / "golden"
+    / "s1_balb_seed0.out"
+)
+
+
+class TestGoldenStdout:
+    def test_s1_balb_run_matches_golden_bytes(self, capsys):
+        code = main(
+            ["run", "--scenario", "S1", "--policy", "balb",
+             "--horizon", "5", "--horizons", "8",
+             "--train-duration", "60", "--seed", "0"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out.encode()
+        assert out == GOLDEN_STDOUT.read_bytes()
 
 
 RUN_SMALL = [

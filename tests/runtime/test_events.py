@@ -8,8 +8,11 @@ tests (and keeps ``runtime/pipeline.py`` off the RL002 wall-clock
 allowlist).
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.checkpoint import load_checkpoint
 from repro.obs.trace import WALL_CLOCK, Clock, WallClock
 from repro.runtime.events import EventQueue, SimulatedClock
 from repro.runtime.pipeline import PipelineConfig, Pipeline, train_models
@@ -157,13 +160,38 @@ class TestInjectablePipelineClock:
     def _wall_stats(self, result):
         return [m for m in result.metrics if m["name"] == "frame_wall_ms"]
 
-    def test_fake_clock_makes_frame_wall_ms_deterministic(self, small_setup):
+    def _ticking_run(self, small_setup, loop, checkpoint_path):
+        """One run of ``loop`` under fresh fake clocks: (result, clocks)."""
         scenario, config, trained = small_setup
+        if loop == "event-burst":
+            config = replace(
+                config, runtime="event", faults="burst:at=2,for=2"
+            )
+        if loop != "resumed-sync":
+            clock = TickingClock()
+            return Pipeline(scenario, config, trained, clock=clock).run(), [
+                clock
+            ]
+        config = replace(
+            config, checkpoint_path=checkpoint_path, stop_after_frames=2
+        )
+        first, second = TickingClock(), TickingClock()
+        Pipeline(scenario, config, trained, clock=first).run()
+        state = load_checkpoint(checkpoint_path).state
+        result = Pipeline(scenario, config, trained, clock=second).resume_state(
+            state
+        )
+        return result, [first, second]
+
+    @pytest.mark.parametrize("loop", ["sync", "event-burst", "resumed-sync"])
+    def test_fake_clock_makes_frame_wall_ms_deterministic(
+        self, small_setup, tmp_path, loop
+    ):
         runs = [
-            Pipeline(scenario, config, trained, clock=TickingClock()).run()
-            for _ in range(2)
+            self._ticking_run(small_setup, loop, str(tmp_path / f"{i}.ckpt"))
+            for i in range(2)
         ]
-        stats = [self._wall_stats(r) for r in runs]
+        stats = [self._wall_stats(result) for result, _ in runs]
         assert stats[0]  # the histogram is actually exported
         assert stats[0] == stats[1]
         # Each frame spans exactly one start/stop pair of the fake clock,
@@ -171,6 +199,10 @@ class TestInjectablePipelineClock:
         (hist,) = stats[0]
         assert hist["max"] == pytest.approx(1.0)
         assert hist["min"] == pytest.approx(1.0)
+        # Exactly two clock reads per processed frame, on every loop.
+        result, clocks = runs[0]
+        assert hist["count"] == len(result.frames)
+        assert sum(c.calls for c in clocks) == 2 * len(result.frames)
 
     def test_default_clock_is_the_wall_clock(self, small_setup):
         scenario, config, trained = small_setup
