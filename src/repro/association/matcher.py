@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.association.pairwise import PairwiseAssociator
+from repro.association.pairwise import PairwiseAssociator, SourceQuery
+from repro.association.training import PairKey
 from repro.geometry.box import BBox, iou_cost_rows
 from repro.ml.hungarian import hungarian
 
@@ -98,11 +99,19 @@ class CrossCameraMatcher:
 
         for pos, cam_a in enumerate(camera_ids):
             obs_a = observations[cam_a]
+            if not obs_a:
+                continue
+            boxes_a = [obs.bbox for obs in obs_a]
+            # One classifier neighbour search per source camera: targets
+            # whose search inputs are bit-identical reuse it and differ
+            # only in their votes (PairwiseAssociator.query_owner).
+            queries: Dict[PairKey, SourceQuery] = {}
             for cam_b in camera_ids[pos + 1 :]:
                 obs_b = observations[cam_b]
-                if not obs_a or not obs_b:
-                    continue
-                self._match_pair(cam_a, obs_a, cam_b, obs_b, uf)
+                if obs_b:
+                    self._match_pair(
+                        cam_a, boxes_a, cam_b, obs_b, uf, queries
+                    )
 
         groups: Dict[Tuple[int, int], GlobalObject] = {}
         next_id = 0
@@ -121,19 +130,20 @@ class CrossCameraMatcher:
     def _match_pair(
         self,
         cam_a: int,
-        obs_a: Sequence[LocalObservation],
+        boxes_a: List[BBox],
         cam_b: int,
         obs_b: Sequence[LocalObservation],
         uf: _UnionFind,
+        queries: Dict[PairKey, SourceQuery],
     ) -> None:
         model = self.associator.model(cam_a, cam_b)
         if model is None:
             return
-        # One classifier call and one regressor call per camera pair per
-        # frame — sharing one feature build — instead of one of each per
-        # observation.
+        # One regressor call per camera pair per frame, and one classifier
+        # search per source camera, instead of one of each per observation.
+        query = self.associator.shared_query(cam_a, cam_b, boxes_a, queries)
         vis_idx, predicted_boxes = model.predict_visible_boxes(
-            [obs.bbox for obs in obs_a]
+            boxes_a, query=query
         )
         if not vis_idx:
             return

@@ -10,7 +10,7 @@ the same machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,11 @@ from repro.ml.scaling import StandardScaler
 
 ClassifierFactory = Callable[[], Classifier]
 RegressorFactory = Callable[[], Regressor]
+
+#: One source camera's classifier search over a box list: the scaled
+#: feature rows and each row's k nearest classifier training rows
+#: (:meth:`PairModel.source_query`).
+SourceQuery = Tuple[np.ndarray, np.ndarray]
 
 
 def default_classifier_factory() -> Classifier:
@@ -67,21 +72,26 @@ class PairModel:
         return target_to_box(self.regressor.predict(feats)[0])
 
     def predict_visible_batch(
-        self, boxes: Sequence[BBox], threshold: float = 0.5
+        self,
+        boxes: Sequence[BBox],
+        threshold: float = 0.5,
+        query: Optional[SourceQuery] = None,
     ) -> np.ndarray:
         """Vectorized :meth:`predict_visible`: one classifier call for all boxes.
 
         Returns a boolean array aligned with ``boxes``. Agrees elementwise
         with the scalar path: the KNN distance computation is row-wise
         independent, so batching changes only the BLAS call shape.
+        ``query`` is this pair's shared search over ``boxes``
+        (:meth:`PairwiseAssociator.shared_query`), or None to search here.
         """
         n = len(boxes)
         if self.constant_label is not None:
             return np.full(n, bool(self.constant_label))
         if self.classifier is None or self.feature_scaler is None or n == 0:
             return np.zeros(n, dtype=bool)
-        feats = self._scaled_features_batch(boxes)
-        return np.asarray(self.classifier.predict_proba(feats) >= threshold)
+        _, proba = self._visible_proba(boxes, query)
+        return np.asarray(proba >= threshold)
 
     def predict_boxes(self, boxes: Sequence[BBox]) -> List[Optional[BBox]]:
         """Vectorized :meth:`predict_box`: one regressor call for all boxes."""
@@ -91,7 +101,10 @@ class PairModel:
         return self._regress_boxes(feats)
 
     def predict_visible_boxes(
-        self, boxes: Sequence[BBox], threshold: float = 0.5
+        self,
+        boxes: Sequence[BBox],
+        threshold: float = 0.5,
+        query: Optional[SourceQuery] = None,
     ) -> "tuple[List[int], List[Optional[BBox]]]":
         """Fused :meth:`predict_visible_batch` + :meth:`predict_boxes`.
 
@@ -100,7 +113,9 @@ class PairModel:
         The scaled feature matrix is built once and fed to both models;
         row slicing commutes with the elementwise scaler and the KNN
         distance rows are independent, so both outputs are bit-identical
-        to the two separate calls this replaces.
+        to the two separate calls this replaces. ``query`` is as for
+        :meth:`predict_visible_batch`; the regressor always runs its own
+        search on the visible rows.
         """
         n = len(boxes)
         feats: Optional[np.ndarray] = None
@@ -109,8 +124,7 @@ class PairModel:
         elif self.classifier is None or self.feature_scaler is None or n == 0:
             vis_idx = []
         else:
-            feats = self._scaled_features_batch(boxes)
-            proba = self.classifier.predict_proba(feats)
+            feats, proba = self._visible_proba(boxes, query)
             vis_idx = [i for i in range(n) if proba[i] >= threshold]
         if not vis_idx:
             return vis_idx, []
@@ -125,6 +139,30 @@ class PairModel:
         else:
             cand_feats = feats[vis_idx]
         return vis_idx, self._regress_boxes(cand_feats)
+
+    def source_query(self, boxes: Sequence[BBox]) -> SourceQuery:
+        """This pair's scaled features and classifier neighbours of ``boxes``.
+
+        The label-free half of the classifier call, which every target
+        whose scaler and KNN training rows are bit-identical to this
+        pair's would compute identically (see
+        :meth:`PairwiseAssociator.query_owner`).
+        """
+        assert isinstance(self.classifier, KNNClassifier)
+        feats = self._scaled_features_batch(boxes)
+        return feats, self.classifier.neighbours(feats)
+
+    def _visible_proba(
+        self, boxes: Sequence[BBox], query: Optional[SourceQuery]
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Scaled features and classifier probability of ``boxes``."""
+        assert self.classifier is not None
+        if query is None:
+            feats = self._scaled_features_batch(boxes)
+            return feats, self.classifier.predict_proba(feats)
+        assert isinstance(self.classifier, KNNClassifier)
+        feats, idx = query
+        return feats, self.classifier.proba_from_neighbours(feats, idx)
 
     def _regress_boxes(self, feats: np.ndarray) -> List[BBox]:
         """Regress scaled features to target-camera boxes."""
@@ -189,11 +227,49 @@ class PairwiseAssociator:
         self._fit_token = getattr(self, "_fit_token", 0) + 1
         for key, pair_ds in dataset.pairs.items():
             self._models[key] = self._fit_pair(pair_ds)
+        self._query_owners = _query_owners(self._models)
         return self
 
     def model(self, source: int, target: int) -> Optional[PairModel]:
         """The fitted model for the ordered pair, or None if untrained."""
         return self._models.get((source, target))
+
+    def query_owner(self, source: int, target: int) -> Optional[PairKey]:
+        """The pair whose classifier search stands in for this pair's.
+
+        ``collect_association_dataset`` gives every target of a source the
+        same feature rows, so their scalers and KNN classifiers differ
+        only in the labels. Pairs of one source share an owner only when
+        :func:`_same_search` finds their fitted search inputs
+        bit-identical, so the owner's :meth:`PairModel.source_query` is
+        exactly the search this pair would run. None when the pair has no
+        KNN classifier search (baseline factories, constant labels,
+        missing pairs).
+        """
+        owners = getattr(self, "_query_owners", None)
+        if owners is None:  # unpickled from an artifact that predates it
+            owners = self._query_owners = _query_owners(self._models)
+        return owners.get((source, target))
+
+    def shared_query(
+        self,
+        source: int,
+        target: int,
+        boxes: Sequence[BBox],
+        memo: Dict[PairKey, SourceQuery],
+    ) -> Optional[SourceQuery]:
+        """The pair's classifier search over ``boxes``, run once per owner.
+
+        ``memo`` holds the searches already run over this box list; pass
+        the same dict for every target of one source.
+        """
+        owner = self.query_owner(source, target)
+        if owner is None or not boxes:
+            return None
+        query = memo.get(owner)
+        if query is None:
+            query = memo[owner] = self._models[owner].source_query(boxes)
+        return query
 
     def predict_visible(self, source: int, target: int, box: BBox) -> bool:
         """Visibility of a source-camera box on the target camera."""
@@ -204,10 +280,27 @@ class PairwiseAssociator:
         self, source: int, target: int, boxes: Sequence[BBox]
     ) -> np.ndarray:
         """Visibility of many source boxes in one classifier call."""
-        model = self._models.get((source, target))
-        if model is None:
-            return np.zeros(len(boxes), dtype=bool)
-        return model.predict_visible_batch(boxes)
+        return self.predict_visible_targets(source, [target], boxes)[target]
+
+    def predict_visible_targets(
+        self, source: int, targets: Sequence[int], boxes: Sequence[BBox]
+    ) -> Dict[int, np.ndarray]:
+        """Visibility of many source boxes on each of ``targets``.
+
+        Targets with a common :meth:`query_owner` share one classifier
+        search; each still votes with its own labels. Unknown pairs
+        predict all-invisible.
+        """
+        memo: Dict[PairKey, SourceQuery] = {}
+        visible: Dict[int, np.ndarray] = {}
+        for target in targets:
+            model = self._models.get((source, target))
+            if model is None:
+                visible[target] = np.zeros(len(boxes), dtype=bool)
+                continue
+            query = self.shared_query(source, target, boxes, memo)
+            visible[target] = model.predict_visible_batch(boxes, query=query)
+        return visible
 
     def predict_box(self, source: int, target: int, box: BBox) -> Optional[BBox]:
         """Predicted target box when classified visible, else None."""
@@ -248,3 +341,57 @@ class PairwiseAssociator:
             feature_scaler=scaler,
             constant_label=constant,
         )
+
+
+def _query_owners(models: Dict[PairKey, PairModel]) -> Dict[PairKey, PairKey]:
+    """Map each KNN-classified pair to its source's first pair with an
+    identical classifier search (itself when none precedes it)."""
+    owners: Dict[PairKey, PairKey] = {}
+    firsts: Dict[int, List[PairKey]] = {}
+    for key in sorted(models):
+        model = models[key]
+        # Exact type: a subclass may search differently.
+        if (
+            model.constant_label is not None
+            or model.feature_scaler is None
+            or type(model.classifier) is not KNNClassifier
+        ):
+            continue
+        candidates = firsts.setdefault(key[0], [])
+        owner = next(
+            (c for c in candidates if _same_search(models[c], model)), None
+        )
+        if owner is None:
+            candidates.append(key)
+            owner = key
+        owners[key] = owner
+    return owners
+
+
+def _same_search(a: PairModel, b: PairModel) -> bool:
+    """Do ``a`` and ``b`` compute bit-identical scaled features and KNN
+    neighbour indices for every query? Compares every fitted array the
+    scaler and :func:`repro.ml.knn._k_nearest` read."""
+    sa, sb = a.feature_scaler, b.feature_scaler
+    ca, cb = a.classifier, b.classifier
+    assert sa is not None and sb is not None
+    assert isinstance(ca, KNNClassifier) and isinstance(cb, KNNClassifier)
+    return ca.k == cb.k and all(
+        _identical(getattr(x, name, None), getattr(y, name, None))
+        for x, y, names in (
+            (sa, sb, ("mean_", "scale_")),
+            (ca, cb, ("_x", "_x_norms", "_x_neg2")),
+        )
+        for name in names
+    )
+
+
+def _identical(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
+    """Same values, dtype and memory layout (both None counts as equal)."""
+    if a is None or b is None:
+        return a is b
+    return (
+        a.dtype == b.dtype
+        and a.strides == b.strides
+        and bool(np.array_equal(a, b))
+    )

@@ -2,7 +2,7 @@
 
 ``repro bench`` times the kernels the vectorization work targets — the
 central BALB assignment, the Hungarian solver, single and batched KNN
-association queries, `BALBResult.priority_of`, and camera-mask
+association queries (per pair, and per source camera over every target), `BALBResult.priority_of`, and camera-mask
 construction — and writes per-benchmark median milliseconds to a JSON
 file (``BENCH_micro.json``). Passing ``--baseline`` compares each median
 against a checked-in baseline and fails (exit 1) when any benchmark is
@@ -128,6 +128,59 @@ def _setup_knn_query_batch(n_probes: int) -> Callable[[], object]:
     def body() -> object:
         model.predict_visible_batch(probes)
         return model.predict_boxes(probes)
+
+    return body
+
+
+#: Targets of the source camera in ``knn_source_query`` (S1's fan-out).
+SOURCE_TARGETS = 4
+
+
+def _setup_knn_source_query(n_probes: int) -> Callable[[], object]:
+    """One source camera's association queries against every target.
+
+    Every target's classifier is fitted on the same source rows (as
+    ``collect_association_dataset`` builds them) with its own labels, so
+    the body runs one shared neighbour search plus per-target votes and
+    regressor searches, the way ``CrossCameraMatcher.associate`` does.
+    """
+    from repro.association.pairwise import PairwiseAssociator
+    from repro.association.training import AssociationDataset
+    from repro.geometry.box import BBox
+
+    rng = np.random.default_rng(2)
+    dataset = AssociationDataset()
+    targets = list(range(1, SOURCE_TARGETS + 1))
+    for _ in range(800):
+        cx = float(rng.uniform(0.0, 1000.0))
+        cy = float(rng.uniform(0.0, 600.0))
+        w = float(rng.uniform(30.0, 80.0))
+        src = BBox.from_xywh(cx, cy, w, w * 0.7)
+        for target in targets:
+            # Target t sees the t-th quarter band of the source frame.
+            seen = (target - 1) * 250.0 <= cx < target * 250.0 + 100.0
+            dataset.pair(0, target).add(
+                src, src.translate(150.0, 0.0) if seen else None
+            )
+    assoc = PairwiseAssociator().fit(dataset)
+    models = [assoc.model(0, target) for target in targets]
+    assert all(model is not None for model in models)
+    rng = np.random.default_rng(3)
+    probes = [
+        BBox.from_xywh(
+            float(rng.uniform(0.0, 1000.0)), float(rng.uniform(0.0, 600.0)),
+            50.0, 35.0,
+        )
+        for _ in range(n_probes)
+    ]
+
+    def body() -> object:
+        memo: dict = {}
+        out = []
+        for target, model in zip(targets, models):
+            query = assoc.shared_query(0, target, probes, memo)
+            out.append(model.predict_visible_boxes(probes, query=query))
+        return out
 
     return body
 
@@ -264,6 +317,7 @@ BENCHMARKS: Dict[str, Tuple[Callable[[], Callable[[], object]], int]] = {
     "hungarian_20x20": (lambda: _setup_hungarian(20), 20),
     "knn_pair_query": (_setup_knn_query, 50),
     "knn_pair_query_batch64": (lambda: _setup_knn_query_batch(64), 50),
+    "knn_source_query": (lambda: _setup_knn_source_query(16), 50),
     "mask_build_2cam": (_setup_mask_build, 5),
     "serving_fanout": (lambda: _setup_serving_fanout(1_000_000), 200),
     "event_pipeline_burst": (_setup_event_pipeline_burst, 1),

@@ -124,7 +124,8 @@ def _build_camera_masks_uncached(
         w, h = frame_sizes[cam]
         size = typical_box_sizes.get(cam, 60.0)
         # All nx*ny cell probes at once: one batched classifier call per
-        # (cam, other) pair instead of one per cell per pair.
+        # (cam, other) pair instead of one per cell per pair, and one
+        # neighbour search per camera wherever the targets share it.
         probes: List[BBox] = []
         for iy in range(ny):
             cy = (iy + 0.5) / ny * h
@@ -132,10 +133,7 @@ def _build_camera_masks_uncached(
                 cx = (ix + 0.5) / nx * w
                 probes.append(BBox.from_xywh(cx, cy, size, size * 0.7))
         others = [other for other in camera_ids if other != cam]
-        visible = {
-            other: associator.predict_visible_many(cam, other, probes)
-            for other in others
-        }
+        visible = associator.predict_visible_targets(cam, others, probes)
         coverage_grid: List[List[Tuple[int, ...]]] = []
         for iy in range(ny):
             row: List[Tuple[int, ...]] = []

@@ -101,22 +101,40 @@ class KNNClassifier(Classifier):
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        require_fitted(self, "_x")
-        assert self._x is not None and self._y is not None
-        x = check_features(x, self._x.shape[1])
-        idx = _k_nearest(
-            self._x,
-            x,
+        return self.proba_from_neighbours(x, self.neighbours(x))
+
+    def neighbours(self, x: np.ndarray) -> np.ndarray:
+        """Indices (n, k) of each query row's k nearest training rows.
+
+        Depends only on ``x``, ``k`` and the training rows, never on the
+        labels, so classifiers fitted on the same rows with different
+        labels can share one search.
+        """
+        train = self._fitted_x()
+        return _k_nearest(
+            train,
+            check_features(x, train.shape[1]),
             self.k,
             getattr(self, "_x_norms", None),
             getattr(self, "_x_neg2", None),
         )
+
+    def proba_from_neighbours(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Positive-class probability of ``x`` given its :meth:`neighbours`."""
+        train = self._fitted_x()
+        assert self._y is not None
         votes = self._y[idx]
         if not self.weighted:
             return votes.mean(axis=1)
-        dists = np.linalg.norm(x[:, None, :] - self._x[idx], axis=2)
+        x = check_features(x, train.shape[1])
+        dists = np.linalg.norm(x[:, None, :] - train[idx], axis=2)
         weights = 1.0 / (dists + 1e-9)
         return (votes * weights).sum(axis=1) / weights.sum(axis=1)
+
+    def _fitted_x(self) -> np.ndarray:
+        require_fitted(self, "_x")
+        assert self._x is not None
+        return self._x
 
 
 class KNNRegressor(Regressor):

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+import math
 import pickle
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -224,10 +225,16 @@ class PipelineConfig:
     sim_path: str = "soa"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.policy not in POLICIES:
             raise ValueError(
                 f"unknown policy {self.policy!r}; options: {POLICIES}"
             )
+        if self.train_duration_s <= 0:
+            raise ValueError("train_duration_s must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.n_horizons < 1:

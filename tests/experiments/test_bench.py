@@ -11,9 +11,11 @@ keep the harness honest.
 
 import pytest
 
+from repro.association.pairwise import PairModel
 from repro.bench import (
     BENCHMARKS,
     SCHEMA_VERSION,
+    SOURCE_TARGETS,
     BenchResult,
     check_against_baseline,
     results_payload,
@@ -106,3 +108,20 @@ class TestSuite:
         assert result.name == "balb_priority_of"
         assert result.rounds == 2
         assert result.median_ms >= 0.0
+
+    def test_knn_source_query_runs_one_search_for_every_target(
+        self, monkeypatch
+    ):
+        body = BENCHMARKS["knn_source_query"][0]()
+        searches = []
+        original = PairModel.source_query
+
+        def spy(model, boxes):
+            searches.append(model.pair)
+            return original(model, boxes)
+
+        monkeypatch.setattr(PairModel, "source_query", spy)
+        results = body()
+        assert searches == [(0, 1)]
+        assert len(results) == SOURCE_TARGETS
+        assert len({tuple(vis) for vis, _ in results}) > 1

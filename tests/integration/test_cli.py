@@ -84,6 +84,30 @@ class TestCommands:
             f"error: unknown scenario {name!r}; known: S1, S2, S3"
         )
 
+    @pytest.mark.parametrize("command", ["run", "trace", "compare"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_train_duration_is_one_error_line(
+        self, command, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "S1", f"--train-duration={value}"])
+        assert exc.value.code == "error: train_duration_s must be positive"
+
+    @pytest.mark.parametrize("command", ["run", "trace", "compare"])
+    @pytest.mark.parametrize("flag, name", [
+        ("--gpu-jitter", "gpu_jitter"),
+        ("--train-duration", "train_duration_s"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_option_is_one_error_line(
+        self, command, flag, name, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "S1", f"{flag}={value}"])
+        assert exc.value.code == (
+            f"error: {name} must be finite, got {float(value)!r}"
+        )
+
     def test_lowercase_scenario_accepted(self, capsys):
         code = main(
             ["run", "--scenario", "s2", "--policy", "balb-ind",

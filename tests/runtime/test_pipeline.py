@@ -53,6 +53,21 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(link_backoff_ms=-1.0)
 
+    @pytest.mark.parametrize("name", [
+        "warmup_s", "train_duration_s", "gpu_jitter", "link_timeout_ms",
+        "link_backoff_ms",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_float_fields_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_non_positive_train_duration_rejected(self, value):
+        with pytest.raises(ValueError, match="train_duration_s must be positive"):
+            PipelineConfig(train_duration_s=value)
+
     def test_retry_policy_reflects_link_knobs(self):
         config = PipelineConfig(link_timeout_ms=80.0, link_max_retries=5,
                                 link_backoff_ms=10.0)
