@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -447,6 +448,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "instead of running the suite",
     )
     args = parser.parse_args(argv)
+    if args.baseline and not os.path.isfile(args.baseline):
+        raise SystemExit(f"error: --baseline file {args.baseline!r} does not exist")
 
     if args.profile:
         profile_benchmark(args.profile)

@@ -14,10 +14,19 @@ the combined report to a file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
+from repro.experiments.parallel import (
+    FULL_PROFILE,
+    QUICK_PROFILE,
+    SECTION_ORDER,
+    SECTIONS,
+    run_report_sections,
+)
 from repro.experiments.report import format_table
+from repro.experiments.runner import run_all
 from repro.faults import CHAOS_PRESETS, validate_fault_spec
 from repro.faults.spec import spec_carries_ingest_bursts
 from repro.obs import (
@@ -404,58 +413,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_experiments(args: argparse.Namespace) -> int:
     """Regenerate the paper's figures/tables (all, or one via --only)."""
-    # Imported lazily: pulls in every harness.
-    from repro.experiments.runner import run_all
-
-    if args.only:
-        from repro.experiments import (
-            run_ablations,
-            run_extensions,
-            run_fault_tolerance,
-            run_figure10,
-            run_figure11,
-            run_figure12,
-            run_figure13,
-            run_figure14,
-            run_table2,
-        )
-        from repro.experiments.runner import run_figure2_text
-
-        registry = {
-            "FIG2": lambda: run_figure2_text(args.seed),
-            "FIG10": lambda: run_figure10(seed=args.seed),
-            "FIG11": lambda: run_figure11(seed=args.seed),
-            "FIG12": lambda: run_figure12(seed=args.seed),
-            "FIG13": lambda: run_figure13(seed=args.seed),
-            "FIG14": lambda: run_figure14(seed=args.seed),
-            "TAB2": lambda: run_table2(seed=args.seed),
-            "ABLATIONS": lambda: run_ablations(seed=args.seed),
-            "EXTENSIONS": lambda: run_extensions(seed=args.seed),
-            "FAULTS": lambda: run_fault_tolerance(seed=args.seed),
-        }
-        key = args.only.upper()
-        if key not in registry:
-            print(f"unknown experiment {args.only!r}; options: "
-                  f"{', '.join(registry)}", file=sys.stderr)
-            return 2
-        body = registry[key]()
-        print(body)
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(body + "\n")
+    if not args.only:
+        print(run_all(seed=args.seed, out_path=args.out))
         return 0
-
-    report = run_all(seed=args.seed, out_path=args.out)
-    print(report)
+    key = args.only.upper()
+    if key not in SECTIONS:
+        print(f"error: unknown experiment {args.only!r}; known report "
+              f"sections: {', '.join(SECTION_ORDER)}", file=sys.stderr)
+        return 2
+    body = run_report_sections([key], args.seed, workers=1).bodies[key]
+    print(body)
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(body + "\n")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Regenerate the full report, optionally in parallel and cached."""
-    # Imported lazily: pulls in every harness.
-    from repro.experiments.parallel import FULL_PROFILE, QUICK_PROFILE
-    from repro.experiments.runner import run_all
-
     profile = QUICK_PROFILE if args.quick else FULL_PROFILE
     try:
         report = run_all(
@@ -689,9 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp_parser = sub.add_parser(
         "experiments", help="regenerate the paper's figures/tables"
     )
-    exp_parser.add_argument("--only", default=None,
-                            help="one of FIG2/FIG10/.../TAB2/ABLATIONS/"
-                                 "EXTENSIONS/FAULTS")
+    exp_parser.add_argument("--only", default=None, metavar="SECTION",
+                            help="one report section: "
+                                 + ", ".join(SECTION_ORDER))
     exp_parser.add_argument("--out", default=None, help="also write to file")
     exp_parser.add_argument("--seed", type=int, default=0)
     exp_parser.set_defaults(func=cmd_experiments)
@@ -717,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "--sections", nargs="+", default=None, metavar="NAME",
-        help="subset of report sections (FIG2 ... FAULTS)",
+        help="subset of report sections: " + ", ".join(SECTION_ORDER),
     )
     report_parser.add_argument(
         "--no-timings", action="store_true",
@@ -842,7 +817,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if scenario is not None and scenario.upper() not in ALL_SCENARIOS:
         known = ", ".join(sorted(ALL_SCENARIOS))
         raise SystemExit(f"error: unknown scenario {scenario!r}; known: {known}")
+    _check_paths(args)
     return args.func(args)
+
+
+def _check_paths(args: argparse.Namespace) -> None:
+    """Reject output paths under a missing directory before any work."""
+    for flag in ("out", "trace", "checkpoint"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise SystemExit(
+                f"error: --{flag} directory {parent!r} does not exist"
+            )
 
 
 if __name__ == "__main__":

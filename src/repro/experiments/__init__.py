@@ -19,31 +19,25 @@ from repro.experiments.extensions import (
     bandwidth_study,
     energy_study,
     occlusion_redundancy_study,
-    run_extensions,
     synchronization_study,
 )
 from repro.experiments.fault_tolerance import (
     DegradationPoint,
     FailoverPoint,
     FaultToleranceStudy,
-    fault_tolerance_study,
-    run_fault_tolerance,
 )
 from repro.experiments.fig10_classification import (
     ClassificationRow,
     evaluate_classifiers,
-    run_figure10,
 )
 from repro.experiments.fig11_regression import (
     RegressionRow,
     evaluate_regressors,
-    run_figure11,
 )
 from repro.experiments.fig12_recall import (
     DEFAULT_POLICIES,
     RecallRow,
     recall_rows,
-    run_figure12,
     run_policies,
 )
 from repro.experiments.fig13_latency import (
@@ -51,28 +45,23 @@ from repro.experiments.fig13_latency import (
     LatencyRow,
     SpeedupSummary,
     latency_rows,
-    run_figure13,
     speedup_summary,
 )
 from repro.experiments.fig14_horizon import (
     DEFAULT_HORIZONS,
     HorizonRow,
-    run_figure14,
     sweep_horizons,
 )
 from repro.experiments.fig2_workload import WorkloadTrace, workload_trace
 from repro.experiments.ingest import (
     IngestPoint,
     IngestStudy,
-    ingest_study,
-    run_ingest,
 )
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_all
 from repro.experiments.table2_overhead import (
     OverheadRow,
     measure_overheads,
-    run_table2,
 )
 
 __all__ = [
@@ -80,28 +69,22 @@ __all__ = [
     "workload_trace",
     "ClassificationRow",
     "evaluate_classifiers",
-    "run_figure10",
     "RegressionRow",
     "evaluate_regressors",
-    "run_figure11",
     "RecallRow",
     "recall_rows",
     "run_policies",
-    "run_figure12",
     "DEFAULT_POLICIES",
     "LatencyRow",
     "SpeedupSummary",
     "latency_rows",
     "speedup_summary",
-    "run_figure13",
     "LATENCY_POLICIES",
     "HorizonRow",
     "sweep_horizons",
-    "run_figure14",
     "DEFAULT_HORIZONS",
     "OverheadRow",
     "measure_overheads",
-    "run_table2",
     "AblationResult",
     "OptimalityResult",
     "ablate_batch_awareness",
@@ -121,16 +104,11 @@ __all__ = [
     "occlusion_redundancy_study",
     "bandwidth_study",
     "energy_study",
-    "run_extensions",
     "SynchronizationStudy",
     "synchronization_study",
     "DegradationPoint",
     "FaultToleranceStudy",
     "FailoverPoint",
-    "fault_tolerance_study",
-    "run_fault_tolerance",
     "IngestPoint",
     "IngestStudy",
-    "ingest_study",
-    "run_ingest",
 ]

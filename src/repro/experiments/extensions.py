@@ -253,15 +253,6 @@ def synchronization_study(
     )
 
 
-def run_extensions(seed: int = 0) -> str:
-    """All Section V extension studies as a text report."""
-    occ = occlusion_redundancy_study(seed=seed)
-    bw = bandwidth_study(seed=seed)
-    en = energy_study(seed=seed)
-    sync = synchronization_study(seed=seed)
-    return format_extensions(occ, bw, en, sync)
-
-
 def format_extensions(
     occ: OcclusionStudy,
     bw: BandwidthStudy,

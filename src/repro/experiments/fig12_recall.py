@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.report import format_table
 from repro.runtime.metrics import RunResult
 from repro.runtime.pipeline import PipelineConfig, TrainedModels, run_policy, train_models
 from repro.scenarios.aic21 import get_scenario
@@ -59,20 +58,3 @@ def recall_rows(runs: Dict[str, RunResult]) -> List[RecallRow]:
         )
         for policy, result in runs.items()
     ]
-
-
-def run_figure12(
-    scenarios: Tuple[str, ...] = ("S1", "S2", "S3"),
-    config: Optional[PipelineConfig] = None,
-    seed: int = 0,
-) -> str:
-    """Regenerate Figure 12 as a text table over all scenarios."""
-    rows: List[RecallRow] = []
-    for name in scenarios:
-        runs = run_policies(name, config=config, seed=seed)
-        rows.extend(recall_rows(runs))
-    return format_table(
-        ["scenario", "policy", "object recall"],
-        [(r.scenario, r.policy, r.recall) for r in rows],
-        title="Figure 12: object recall by scheduling policy",
-    )

@@ -10,12 +10,9 @@ paper's headline numbers: multiplicative BALB-vs-Full speedups (paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.experiments.fig12_recall import run_policies
-from repro.experiments.report import format_table
 from repro.runtime.metrics import RunResult, speedup_vs
-from repro.runtime.pipeline import PipelineConfig
 
 LATENCY_POLICIES: Tuple[str, ...] = ("full", "balb-ind", "sp", "balb")
 
@@ -60,60 +57,3 @@ def speedup_summary(runs: Dict[str, RunResult]) -> SpeedupSummary:
         balb_vs_ind=speedup_vs(runs["balb-ind"], runs["balb"]),
         balb_vs_sp=speedup_vs(runs["sp"], runs["balb"]),
     )
-
-
-def run_figure13(
-    scenarios: Tuple[str, ...] = ("S1", "S2", "S3"),
-    config: Optional[PipelineConfig] = None,
-    seed: int = 0,
-    traced: bool = False,
-) -> str:
-    """Regenerate Figure 13 (+ headline speedups) as text tables.
-
-    ``traced`` runs every policy with span tracing enabled and adds a
-    *measured wall ms* column — observed Python wall-clock per frame —
-    next to the modeled inference latency.
-    """
-    all_rows: List[LatencyRow] = []
-    summaries: List[SpeedupSummary] = []
-    measured: Dict[Tuple[str, str], float] = {}
-    if traced:
-        # Mirror run_policies' default config, with tracing switched on.
-        base = config or PipelineConfig(
-            policy="balb", n_horizons=40, train_duration_s=120.0,
-            warmup_s=30.0, seed=seed,
-        )
-        config = PipelineConfig(**{**base.__dict__, "trace": True})
-    for name in scenarios:
-        runs = run_policies(name, policies=LATENCY_POLICIES, config=config, seed=seed)
-        all_rows.extend(latency_rows(runs))
-        summaries.append(speedup_summary(runs))
-        if traced:
-            for policy, result in runs.items():
-                stage = result.measured_stage_breakdown()
-                measured[(name, policy)] = stage.get("frame", 0.0)
-    headers = ["scenario", "policy", "slowest-cam ms", "speedup vs full"]
-    if traced:
-        headers.append("measured wall ms")
-    table1 = format_table(
-        headers,
-        [
-            (r.scenario, r.policy, round(r.slowest_camera_ms, 1), r.speedup_vs_full)
-            + (
-                (round(measured.get((r.scenario, r.policy), 0.0), 3),)
-                if traced
-                else ()
-            )
-            for r in all_rows
-        ],
-        title="Figure 13: per-frame inference latency",
-    )
-    table2 = format_table(
-        ["scenario", "BALB/Full", "BALB/Ind", "BALB/SP"],
-        [
-            (s.scenario, s.balb_vs_full, s.balb_vs_ind, s.balb_vs_sp)
-            for s in summaries
-        ],
-        title="Headline speedups (paper: 6.85/6.18/2.45 vs Full; 1.88x mean vs SP)",
-    )
-    return table1 + "\n\n" + table2

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.experiments.report import format_table
 from repro.runtime.pipeline import (
     PipelineConfig,
     TrainedModels,
@@ -91,23 +90,3 @@ def sweep_horizons(
         )
         for horizon in horizons
     ]
-
-
-def run_figure14(
-    scenario_name: str = "S1",
-    horizons: Tuple[int, ...] = DEFAULT_HORIZONS,
-    seed: int = 0,
-    frames_per_point: int = 300,
-    train_duration_s: float = 120.0,
-    warmup_s: float = 30.0,
-) -> str:
-    """Regenerate Figure 14 as a text table."""
-    rows = sweep_horizons(
-        scenario_name, horizons, frames_per_point=frames_per_point,
-        seed=seed, train_duration_s=train_duration_s, warmup_s=warmup_s,
-    )
-    return format_table(
-        ["horizon T", "object recall", "slowest-cam ms"],
-        [(r.horizon, r.recall, round(r.slowest_camera_ms, 1)) for r in rows],
-        title=f"Figure 14: scheduling horizon sweep on {scenario_name}",
-    )

@@ -1,33 +1,35 @@
-"""Parallel experiment harness: fan report sections out over processes.
+"""Report harness: every section is a job grid plus a deterministic merge.
 
-The serial report runner executes ten sections back to back; most of
-their wall-clock is embarrassingly parallel (independent scenarios,
-policies, seeds and sweep points). This module decomposes every section
-into picklable *jobs* — module-level cell functions plus positional
-arguments — runs them on a spawn-context :class:`ProcessPoolExecutor`,
-and merges the results back in a deterministic order so that the
-parallel report is byte-identical to the serial one.
+Each report section is decomposed into picklable *jobs* — module-level
+cell functions plus positional arguments — and a *merge* that renders
+the section's tables from the job results. That pair is the section's
+only implementation: ``workers == 1`` runs the jobs inline, in
+submission order; ``workers > 1`` runs them on a spawn-context
+:class:`ProcessPoolExecutor`. The merged report is byte-identical either
+way, and the checked-in golden reports pin those bytes.
 
 Three properties make that identity hold:
 
 * every cell is a pure function of its arguments (the simulator and the
   trainers are seeded, never wall-clock driven);
-* jobs are submitted and merged in a fixed order that mirrors the
-  serial loops exactly, so tables render rows in the same sequence;
+* results are merged in a fixed order, independent of completion order,
+  so tables render rows in the same sequence;
 * model training is deduplicated through the content-addressed
   :mod:`repro.cache` — a warm-up wave trains each distinct
-  (scenario, warm-up, duration) triple once, after which every worker
-  process gets cache hits instead of refitting.
+  (scenario, warm-up, duration) triple once, after which every job gets
+  cache hits instead of refitting. Without a caller-supplied cache
+  directory the run uses a temporary one that lives as long as the run.
 
 :class:`ReportProfile` carries every knob of every section. The
-``FULL_PROFILE`` values equal the historical in-module defaults (so
-profile-driven runs reproduce the original report bytes);
+``FULL_PROFILE`` values are the paper-scale report;
 ``QUICK_PROFILE`` shrinks each sweep for smoke tests and CI.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pickle
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -43,14 +45,11 @@ from repro.experiments.extensions import (
     energy_study,
     format_extensions,
     occlusion_point,
-    occlusion_redundancy_study,
     synchronization_point,
-    synchronization_study,
 )
 from repro.experiments.fault_tolerance import (
     FaultToleranceStudy,
     degradation_point,
-    fault_tolerance_study,
     failover_point,
     format_fault_tolerance,
     outage_spec_for,
@@ -61,30 +60,20 @@ from repro.experiments.ingest import (
     format_ingest,
     identity_check,
     ingest_point,
-    ingest_study,
 )
 from repro.experiments.fig10_classification import (
     ClassificationRow,
     evaluate_classifiers,
-    run_figure10,
 )
 from repro.experiments.fig11_regression import (
     RegressionRow,
     evaluate_regressors,
-    run_figure11,
 )
-from repro.experiments.fig12_recall import (
-    DEFAULT_POLICIES,
-    run_figure12,
-)
-from repro.experiments.fig13_latency import LATENCY_POLICIES, run_figure13
-from repro.experiments.fig14_horizon import horizon_point, run_figure14
+from repro.experiments.fig12_recall import DEFAULT_POLICIES
+from repro.experiments.fig13_latency import LATENCY_POLICIES
+from repro.experiments.fig14_horizon import horizon_point
 from repro.experiments.report import format_table
-from repro.experiments.table2_overhead import (
-    OverheadRow,
-    measure_overheads,
-    run_table2,
-)
+from repro.experiments.table2_overhead import OverheadRow, measure_overheads
 from repro.obs import MetricsRegistry
 from repro.runtime.pipeline import PipelineConfig, run_policy, train_models
 from repro.scenarios.aic21 import get_scenario
@@ -99,8 +88,8 @@ from repro.scenarios.bursts import burst_sweep_specs
 class ReportProfile:
     """Every knob of every report section, in one picklable value.
 
-    The defaults reproduce the historical serial report exactly; the
-    ``QUICK_PROFILE`` instance shrinks sweeps for smoke runs.
+    The defaults are the paper-scale report; the ``QUICK_PROFILE``
+    instance shrinks sweeps for smoke runs.
     """
 
     name: str = "full"
@@ -254,7 +243,7 @@ class Job:
 
 @dataclass(frozen=True)
 class JobResult:
-    """A job's return value plus its worker-side timing and cache hits."""
+    """A job's return value plus its worker-side timing and cache traffic."""
 
     section: str
     key: Any
@@ -262,6 +251,7 @@ class JobResult:
     elapsed_s: float
     cache_hits: int
     cache_misses: int
+    cache_puts: int
 
 
 def _execute_job(job: Job, cache_root: Optional[str]) -> JobResult:
@@ -270,16 +260,16 @@ def _execute_job(job: Job, cache_root: Optional[str]) -> JobResult:
     start = time.perf_counter()
     if cache_root is None:
         value = job.fn(*job.args)
-        hits = misses = 0
+        hits = misses = puts = 0
     else:
         cache = ArtifactCache(cache_root, registry=registry)
         with use_cache(cache):
             value = job.fn(*job.args)
-        hits, misses = cache.hits, cache.misses
+        hits, misses, puts = cache.hits, cache.misses, cache.puts
     elapsed = time.perf_counter() - start
     return JobResult(
         section=job.section, key=job.key, value=value, elapsed_s=elapsed,
-        cache_hits=hits, cache_misses=misses,
+        cache_hits=hits, cache_misses=misses, cache_puts=puts,
     )
 
 
@@ -288,25 +278,34 @@ def run_jobs(
     workers: int,
     cache_root: Optional[str] = None,
 ) -> List[JobResult]:
-    """Execute jobs (in submission order) and gather ordered results.
+    """Execute jobs and gather results in submission order.
 
-    ``workers == 1`` runs everything inline — no processes, no pickling —
-    which is the bit-exact fallback path.
+    ``workers == 1`` runs everything inline — no processes, no pickling.
+    """
+    return _run_waves([jobs], workers, cache_root)[0]
+
+
+def _run_waves(
+    waves: Sequence[Sequence[Job]],
+    workers: int,
+    cache_root: Optional[str],
+) -> List[List[JobResult]]:
+    """Run job waves in order; a wave starts once the previous one is done.
+
+    The one place that chooses between inline execution and a process
+    pool; the pool (when there is one) is shared by every wave.
     """
     if workers <= 1:
-        return [_execute_job(job, cache_root) for job in jobs]
+        return [[_execute_job(job, cache_root) for job in wave]
+                for wave in waves]
     ctx = get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        return _run_in_pool(pool, jobs, cache_root)
-
-
-def _run_in_pool(
-    pool: ProcessPoolExecutor,
-    jobs: Sequence[Job],
-    cache_root: Optional[str],
-) -> List[JobResult]:
-    futures = [pool.submit(_execute_job, job, cache_root) for job in jobs]
-    return [future.result() for future in futures]
+        results = []
+        for wave in waves:
+            futures = [pool.submit(_execute_job, job, cache_root)
+                       for job in wave]
+            results.append([future.result() for future in futures])
+        return results
 
 
 def _fingerprint(job: Job) -> bytes:
@@ -451,7 +450,7 @@ def _ext_en_cell(n_trials: int, seed: int):
 
 
 # ----------------------------------------------------------------------
-# Section registry: serial body, parallel jobs, deterministic merge
+# Section registry: job grid plus deterministic merge
 # ----------------------------------------------------------------------
 
 TrainKey = Tuple[str, float, float]  # (scenario, warmup_s, train_duration_s)
@@ -463,10 +462,9 @@ def _no_train_keys(profile: ReportProfile) -> Tuple[TrainKey, ...]:
 
 @dataclass(frozen=True)
 class Section:
-    """One report section: how to run it serially, split it, merge it."""
+    """One report section: its job grid and the merge that renders it."""
 
     name: str
-    serial: Callable[[int, ReportProfile], str]
     jobs: Callable[[int, ReportProfile], List[Job]]
     merge: Callable[[Dict[Any, Any], int, ReportProfile], str]
     train_keys: Callable[[ReportProfile], Tuple[TrainKey, ...]] = field(
@@ -484,13 +482,6 @@ def _speedup(baseline_ms: float, improved_ms: float) -> float:
 # -- FIG2 ---------------------------------------------------------------
 
 
-def _fig2_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure2_text(
-        seed, duration_s=profile.fig2_duration_s,
-        warmup_s=profile.fig2_warmup_s,
-    )
-
-
 def _fig2_jobs(seed: int, profile: ReportProfile) -> List[Job]:
     return [Job(
         "FIG2", "fig2", _fig2_cell,
@@ -505,13 +496,6 @@ def _fig2_merge(
 
 
 # -- FIG10 / FIG11 ------------------------------------------------------
-
-
-def _fig10_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure10(
-        scenarios=profile.scenarios, duration_s=profile.eval_duration_s,
-        seed=seed,
-    )
 
 
 def _fig10_jobs(seed: int, profile: ReportProfile) -> List[Job]:
@@ -531,13 +515,6 @@ def _fig10_merge(
         ["scenario", "model", "precision", "recall", "f1"],
         [(r.scenario, r.model, r.precision, r.recall, r.f1) for r in rows],
         title="Figure 10: cross-camera visibility classification",
-    )
-
-
-def _fig11_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure11(
-        scenarios=profile.scenarios, duration_s=profile.eval_duration_s,
-        seed=seed,
     )
 
 
@@ -571,13 +548,6 @@ def _scenario_train_keys(profile: ReportProfile) -> Tuple[TrainKey, ...]:
     )
 
 
-def _fig12_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure12(
-        scenarios=profile.scenarios, config=profile.policy_config(seed),
-        seed=seed,
-    )
-
-
 def _fig12_jobs(seed: int, profile: ReportProfile) -> List[Job]:
     config = profile.policy_config(seed)
     return [
@@ -600,13 +570,6 @@ def _fig12_merge(
         ["scenario", "policy", "object recall"],
         rows,
         title="Figure 12: object recall by scheduling policy",
-    )
-
-
-def _fig13_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure13(
-        scenarios=profile.scenarios, config=profile.policy_config(seed),
-        seed=seed,
     )
 
 
@@ -660,14 +623,6 @@ def _fig14_train_keys(profile: ReportProfile) -> Tuple[TrainKey, ...]:
     return ((profile.fig14_scenario, profile.warmup_s, profile.train_duration_s),)
 
 
-def _fig14_serial(seed: int, profile: ReportProfile) -> str:
-    return run_figure14(
-        scenario_name=profile.fig14_scenario, horizons=profile.fig14_horizons,
-        seed=seed, frames_per_point=profile.fig14_frames_per_point,
-        train_duration_s=profile.train_duration_s, warmup_s=profile.warmup_s,
-    )
-
-
 def _fig14_jobs(seed: int, profile: ReportProfile) -> List[Job]:
     return [
         Job(
@@ -691,13 +646,6 @@ def _fig14_merge(
 
 
 # -- TAB2 ---------------------------------------------------------------
-
-
-def _tab2_serial(seed: int, profile: ReportProfile) -> str:
-    return run_table2(
-        scenarios=profile.scenarios, config=profile.tab2_config(seed),
-        seed=seed,
-    )
 
 
 def _tab2_jobs(seed: int, profile: ReportProfile) -> List[Job]:
@@ -732,10 +680,6 @@ def _tab2_merge(
 # -- ABLATIONS ----------------------------------------------------------
 
 
-def _ablations_serial(seed: int, profile: ReportProfile) -> str:
-    return run_ablations(seed=seed)
-
-
 def _ablations_jobs(seed: int, profile: ReportProfile) -> List[Job]:
     return [Job("ABLATIONS", "ablations", _ablations_cell, (seed,))]
 
@@ -754,19 +698,6 @@ def _extensions_train_keys(profile: ReportProfile) -> Tuple[TrainKey, ...]:
         (profile.ext_occ_scenario, profile.warmup_s, profile.train_duration_s),
         (profile.ext_sync_scenario, profile.warmup_s, profile.train_duration_s),
     )
-
-
-def _extensions_serial(seed: int, profile: ReportProfile) -> str:
-    occ = occlusion_redundancy_study(
-        profile.ext_occ_scenario, config=profile.occ_config(seed), seed=seed
-    )
-    bw = bandwidth_study(n_trials=profile.ext_trials, seed=seed)
-    en = energy_study(n_trials=profile.ext_trials, seed=seed)
-    sync = synchronization_study(
-        profile.ext_sync_scenario, lags=profile.ext_sync_lags,
-        config=profile.sync_config(seed), seed=seed,
-    )
-    return format_extensions(occ, bw, en, sync)
 
 
 def _extensions_jobs(seed: int, profile: ReportProfile) -> List[Job]:
@@ -819,20 +750,6 @@ def _faults_train_keys(profile: ReportProfile) -> Tuple[TrainKey, ...]:
         profile.faults_scenario, profile.warmup_s,
         profile.faults_train_duration_s,
     ),)
-
-
-def _faults_serial(seed: int, profile: ReportProfile) -> str:
-    study = fault_tolerance_study(
-        scenario_name=profile.faults_scenario,
-        crash_rates=profile.faults_crash_rates,
-        loss_rates=profile.faults_loss_rates,
-        policies=profile.faults_policies,
-        config=profile.faults_config(seed),
-        seed=seed,
-        scheduler_policies=profile.faults_scheduler_policies,
-        heartbeats=profile.faults_heartbeats,
-    )
-    return format_fault_tolerance(study, drop_policies=profile.faults_policies)
 
 
 def _faults_jobs(seed: int, profile: ReportProfile) -> List[Job]:
@@ -900,18 +817,6 @@ def _ingest_bursts(profile: ReportProfile) -> Tuple[str, ...]:
     return burst_sweep_specs(base.horizon, base.horizon * base.n_horizons)
 
 
-def _ingest_serial(seed: int, profile: ReportProfile) -> str:
-    study = ingest_study(
-        scenario_name=profile.ingest_scenario,
-        ingest_policies=profile.ingest_policies,
-        bursts=_ingest_bursts(profile),
-        capacity=profile.ingest_capacity,
-        config=profile.ingest_config(seed),
-        seed=seed,
-    )
-    return format_ingest(study)
-
-
 def _ingest_jobs(seed: int, profile: ReportProfile) -> List[Job]:
     base = profile.ingest_config(seed)
     name = profile.ingest_scenario
@@ -945,25 +850,18 @@ def _ingest_merge(
 SECTIONS: Dict[str, Section] = {
     sec.name: sec
     for sec in (
-        Section("FIG2", _fig2_serial, _fig2_jobs, _fig2_merge),
-        Section("FIG10", _fig10_serial, _fig10_jobs, _fig10_merge),
-        Section("FIG11", _fig11_serial, _fig11_jobs, _fig11_merge),
-        Section("FIG12", _fig12_serial, _fig12_jobs, _fig12_merge,
-                _scenario_train_keys),
-        Section("FIG13", _fig13_serial, _fig13_jobs, _fig13_merge,
-                _scenario_train_keys),
-        Section("FIG14", _fig14_serial, _fig14_jobs, _fig14_merge,
-                _fig14_train_keys),
-        Section("TAB2", _tab2_serial, _tab2_jobs, _tab2_merge,
-                _scenario_train_keys),
-        Section("ABLATIONS", _ablations_serial, _ablations_jobs,
-                _ablations_merge),
-        Section("EXTENSIONS", _extensions_serial, _extensions_jobs,
-                _extensions_merge, _extensions_train_keys),
-        Section("FAULTS", _faults_serial, _faults_jobs, _faults_merge,
-                _faults_train_keys),
-        Section("INGEST", _ingest_serial, _ingest_jobs, _ingest_merge,
-                _ingest_train_keys),
+        Section("FIG2", _fig2_jobs, _fig2_merge),
+        Section("FIG10", _fig10_jobs, _fig10_merge),
+        Section("FIG11", _fig11_jobs, _fig11_merge),
+        Section("FIG12", _fig12_jobs, _fig12_merge, _scenario_train_keys),
+        Section("FIG13", _fig13_jobs, _fig13_merge, _scenario_train_keys),
+        Section("FIG14", _fig14_jobs, _fig14_merge, _fig14_train_keys),
+        Section("TAB2", _tab2_jobs, _tab2_merge, _scenario_train_keys),
+        Section("ABLATIONS", _ablations_jobs, _ablations_merge),
+        Section("EXTENSIONS", _extensions_jobs, _extensions_merge,
+                _extensions_train_keys),
+        Section("FAULTS", _faults_jobs, _faults_merge, _faults_train_keys),
+        Section("INGEST", _ingest_jobs, _ingest_merge, _ingest_train_keys),
     )
 }
 
@@ -994,13 +892,14 @@ def warm_jobs(
 
 @dataclass(frozen=True)
 class ReportSections:
-    """Merged section bodies plus the fan-out's aggregate accounting."""
+    """Merged section bodies plus the run's aggregate accounting."""
 
     bodies: Dict[str, str]
     elapsed_s: Dict[str, float]  # per section, summed over its jobs
     warm_elapsed_s: float
     cache_hits: int
     cache_misses: int
+    cache_puts: int
 
 
 def run_report_sections(
@@ -1010,12 +909,13 @@ def run_report_sections(
     workers: int = 2,
     cache_root: Optional[str] = None,
 ) -> ReportSections:
-    """Fan the named sections out over ``workers`` processes and merge.
+    """Run the named sections' jobs on ``workers`` processes and merge.
 
     Jobs that perform identical work for two sections (FIG13's policy
     runs are a subset of FIG12's) are executed once and shared. Section
-    elapsed times attribute a shared job to every section that uses it,
-    mirroring what the serial runner would have measured.
+    elapsed times attribute a shared job to every section that uses it.
+    Without ``cache_root`` the run trains through a temporary cache
+    directory that is removed when it returns.
     """
     unknown = [name for name in section_names if name not in SECTIONS]
     if unknown:
@@ -1034,14 +934,13 @@ def run_report_sections(
             unique_jobs.append(job)
 
     warm = warm_jobs(section_names, seed, profile)
-    if workers <= 1:
-        warm_results = [_execute_job(job, cache_root) for job in warm]
-        unique_results = [_execute_job(job, cache_root) for job in unique_jobs]
-    else:
-        ctx = get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            warm_results = _run_in_pool(pool, warm, cache_root)
-            unique_results = _run_in_pool(pool, unique_jobs, cache_root)
+    with contextlib.ExitStack() as stack:
+        root = cache_root or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-report-")
+        )
+        warm_results, unique_results = _run_waves(
+            [warm, unique_jobs], workers, root
+        )
 
     by_section: Dict[str, Dict[Any, Any]] = {n: {} for n in section_names}
     elapsed: Dict[str, float] = {n: 0.0 for n in section_names}
@@ -1053,10 +952,12 @@ def run_report_sections(
         name: SECTIONS[name].merge(by_section[name], seed, profile)
         for name in section_names
     }
+    every = warm_results + unique_results
     return ReportSections(
         bodies=bodies,
         elapsed_s=elapsed,
         warm_elapsed_s=sum(r.elapsed_s for r in warm_results),
-        cache_hits=sum(r.cache_hits for r in warm_results + unique_results),
-        cache_misses=sum(r.cache_misses for r in warm_results + unique_results),
+        cache_hits=sum(r.cache_hits for r in every),
+        cache_misses=sum(r.cache_misses for r in every),
+        cache_puts=sum(r.cache_puts for r in every),
     )

@@ -10,6 +10,8 @@ fit while leaving the report bytes unchanged, and pin the adaptive
 elapsed-time format.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,13 @@ from repro.experiments.parallel import (
     warm_jobs,
 )
 from repro.experiments.runner import _fmt_elapsed, run_all
+
+#: The byte reference for ``repro report --quick --no-timings --seed 0``
+#: (CI also ``cmp``s the CLI output against it).
+QUICK_GOLDEN = (
+    Path(__file__).resolve().parents[2] / ".github" / "golden"
+    / "report_quick_seed0.txt"
+)
 
 #: Cheap-enough sections for the property sweep (QUICK profile).
 SWEEP_SECTIONS = ("FIG2", "FIG12", "FIG13", "FIG14", "TAB2", "EXTENSIONS")
@@ -59,6 +68,7 @@ class TestByteIdentity:
             profile=QUICK_PROFILE, timings=False, workers=2, cache=cache
         )
         assert parallel == serial
+        assert serial + "\n" == QUICK_GOLDEN.read_text()
         # The warm-up wave trains once; every section job then hits.
         assert cache.hits > 0
         assert cache.misses <= len(

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import build_parser, main
+from repro.experiments.parallel import SECTION_ORDER, ReportSections
 
 
 class TestParser:
@@ -115,6 +117,92 @@ class TestCommands:
         )
         assert code == 0
         assert capsys.readouterr().out.startswith("Scenario S2:")
+
+
+class TestExperimentsOnly:
+    @pytest.fixture
+    def sections_run(self, monkeypatch):
+        """Stand-in section runner: records calls, runs nothing heavy."""
+        calls = []
+
+        def fake(section_names, seed, **kwargs):
+            calls.append((list(section_names), seed, kwargs))
+            return ReportSections(
+                bodies={n: f"body of {n}" for n in section_names},
+                elapsed_s={n: 0.0 for n in section_names},
+                warm_elapsed_s=0.0, cache_hits=0, cache_misses=0,
+                cache_puts=0,
+            )
+
+        monkeypatch.setattr(cli, "run_report_sections", fake)
+        return calls
+
+    @pytest.mark.parametrize("name", SECTION_ORDER)
+    def test_every_report_section_is_accepted(
+        self, name, sections_run, tmp_path, capsys
+    ):
+        out_file = tmp_path / "section.txt"
+        code = main(["experiments", "--only", name.lower(), "--seed", "3",
+                     "--out", str(out_file)])
+        assert code == 0
+        assert sections_run == [([name], 3, {"workers": 1})]
+        assert capsys.readouterr().out == f"body of {name}\n"
+        assert out_file.read_text() == f"body of {name}\n"
+
+    def test_unknown_section_is_one_error_line(self, sections_run, capsys):
+        assert main(["experiments", "--only", "FIG99"]) == 2
+        assert sections_run == []
+        assert capsys.readouterr().err == (
+            "error: unknown experiment 'FIG99'; known report sections: "
+            + ", ".join(SECTION_ORDER) + "\n"
+        )
+
+    def test_only_help_lists_every_section(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiments", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(SECTION_ORDER) in help_text
+
+
+#: (argv with a bad path under a missing directory, the function that must
+#: not run, the one error line).
+BAD_PATH_CASES = [
+    (["report", "--quick", "--sections", "FIG2", "--out", "{bad}/x.txt"],
+     "repro.cli.cmd_report", "--out directory {bad!r} does not exist"),
+    (["experiments", "--out", "{bad}/x.txt"],
+     "repro.cli.cmd_experiments", "--out directory {bad!r} does not exist"),
+    (["experiments", "--only", "FIG2", "--out", "{bad}/x.txt"],
+     "repro.cli.cmd_experiments", "--out directory {bad!r} does not exist"),
+    (["bench", "--quick", "--out", "{bad}/b.json"],
+     "repro.cli.cmd_bench", "--out directory {bad!r} does not exist"),
+    (["bench", "--quick", "--baseline", "{bad}/base.json"],
+     "repro.bench.run_suite",
+     "--baseline file '{bad}/base.json' does not exist"),
+    (["trace", "--scenario", "S2", "--out", "{bad}/t.jsonl"],
+     "repro.cli.cmd_trace", "--out directory {bad!r} does not exist"),
+    (["soak", "--episodes", "1", "--out", "{bad}/s.txt"],
+     "repro.cli.cmd_soak", "--out directory {bad!r} does not exist"),
+    (["run", "--trace", "{bad}/t.jsonl"],
+     "repro.cli.cmd_run", "--trace directory {bad!r} does not exist"),
+    (["run", "--checkpoint", "{bad}/run.ckpt", "--stop-after", "5"],
+     "repro.cli.cmd_run", "--checkpoint directory {bad!r} does not exist"),
+]
+
+
+class TestBadPathsFailFirst:
+    @pytest.mark.parametrize("argv, command, message", BAD_PATH_CASES)
+    def test_bad_path_is_one_error_line_before_any_work(
+        self, argv, command, message, tmp_path, monkeypatch
+    ):
+        bad = str(tmp_path / "missing-dir")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{command} ran despite a bad path")
+
+        monkeypatch.setattr(command, must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(bad=bad) for arg in argv])
+        assert exc.value.code == "error: " + message.format(bad=bad)
 
 
 GOLDEN_STDOUT = (
