@@ -28,7 +28,7 @@ from repro.experiments.parallel import (
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_all
 from repro.faults import CHAOS_PRESETS, validate_fault_spec
-from repro.faults.spec import spec_carries_ingest_bursts
+from repro.faults.spec import resolve_faults, spec_carries_ingest_bursts
 from repro.obs import (
     format_metrics_table,
     format_span_summary,
@@ -45,6 +45,22 @@ from repro.runtime.pipeline import (
     train_models,
 )
 from repro.scenarios.aic21 import ALL_SCENARIOS, get_scenario
+from repro.scenarios.builder import Scenario
+
+
+def _seed(text: str) -> int:
+    """argparse type of every ``--seed``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}"
+        )
+    return value
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -53,7 +69,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="frames per scheduling horizon (T)")
     parser.add_argument("--horizons", type=int, default=30,
                         help="number of horizons to simulate")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--train-duration", type=float, default=120.0,
                         help="association training segment (seconds)")
     parser.add_argument("--occlusion", action="store_true",
@@ -105,7 +121,10 @@ def _faults_from(args: argparse.Namespace) -> Optional[str]:
 
 
 def _config_from(
-    args: argparse.Namespace, policy: str, trace: bool = False
+    args: argparse.Namespace,
+    policy: str,
+    scenario: Scenario,
+    trace: bool = False,
 ) -> PipelineConfig:
     faults = _faults_from(args)
     runtime = getattr(args, "runtime", "sync")
@@ -115,7 +134,7 @@ def _config_from(
             "loop has no ingest edge to absorb a burst)"
         )
     try:
-        return PipelineConfig(
+        config = PipelineConfig(
             policy=policy,
             horizon=args.horizon,
             n_horizons=args.horizons,
@@ -138,6 +157,19 @@ def _config_from(
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
+    if getattr(args, "faults", None):
+        # Resolving against the rig rejects clauses for absent cameras
+        # before any training starts.
+        try:
+            resolve_faults(
+                config.faults,
+                [cam.camera_id for cam in scenario.cameras],
+                config.horizon * config.n_horizons,
+                config.seed,
+            )
+        except ValueError as exc:
+            raise SystemExit(f"error: bad --faults spec: {exc}") from exc
+    return config
 
 
 def _serving_summary_table(result) -> str:
@@ -284,7 +316,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "error: --checkpoint-every/--stop-after require --checkpoint"
             )
         scenario = get_scenario(args.scenario, seed=args.seed)
-        config = _config_from(args, args.policy, trace=bool(args.trace))
+        config = _config_from(
+            args, args.policy, scenario, trace=bool(args.trace)
+        )
         print(f"Scenario {scenario.name}: {scenario.description}")
         trained = train_models(scenario, config)
         result = run_policy(scenario, args.policy, config, trained)
@@ -337,7 +371,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     scenario = get_scenario(args.scenario, seed=args.seed)
-    config = _config_from(args, args.policy, trace=True)
+    config = _config_from(args, args.policy, scenario, trace=True)
     print(f"Scenario {scenario.name}: {scenario.description}")
     trained = train_models(scenario, config)
     result = run_policy(scenario, args.policy, config, trained)
@@ -378,7 +412,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     """Run several policies with shared trained models and compare."""
     scenario = get_scenario(args.scenario, seed=args.seed)
-    config = _config_from(args, "balb")
+    config = _config_from(args, "balb", scenario)
     print(f"Scenario {scenario.name}: {scenario.description}")
     print("Training shared models...")
     trained = train_models(scenario, config)
@@ -668,14 +702,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="one report section: "
                                  + ", ".join(SECTION_ORDER))
     exp_parser.add_argument("--out", default=None, help="also write to file")
-    exp_parser.add_argument("--seed", type=int, default=0)
+    exp_parser.add_argument("--seed", type=_seed, default=0)
     exp_parser.set_defaults(func=cmd_experiments)
 
     report_parser = sub.add_parser(
         "report",
         help="regenerate the full report (parallel, cached, profiled)",
     )
-    report_parser.add_argument("--seed", type=int, default=0)
+    report_parser.add_argument("--seed", type=_seed, default=0)
     report_parser.add_argument("--out", default=None, help="also write to file")
     report_parser.add_argument(
         "--workers", type=int, default=1,
@@ -742,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--episodes", type=int, default=20,
         help="seeded chaos episodes to run (default 20)",
     )
-    soak_parser.add_argument("--seed", type=int, default=0)
+    soak_parser.add_argument("--seed", type=_seed, default=0)
     soak_parser.add_argument(
         "--preset", default="wire", choices=sorted(CHAOS_PRESETS),
         help="chaos preset each episode compiles its faults from",

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.experiments.report import format_table
+from repro.faults import FaultSchedule, parse_fault_spec
 from repro.runtime.pipeline import (
     PipelineConfig,
     TrainedModels,
@@ -73,8 +74,19 @@ def ingest_point(
     capacity: int = 2,
 ) -> IngestPoint:
     """One (ingest policy, burst spec) cell on the event runtime."""
+    # The canonical sweep (repro.scenarios.bursts) staggers bursts over
+    # cameras 0-2 whatever the rig. A clause for a camera the rig lacks
+    # never fires and resolve_faults rejects it, so it is dropped here;
+    # the row keeps the canonical spec as its label.
+    schedule = parse_fault_spec(burst)
+    assert isinstance(schedule, FaultSchedule)
+    rig = {cam.camera_id for cam in scenario.cameras}
+    faults = FaultSchedule(tuple(
+        e for e in schedule.events
+        if e.camera_id is None or e.camera_id in rig
+    ))
     cfg = PipelineConfig(
-        **{**base.__dict__, "runtime": "event", "faults": burst,
+        **{**base.__dict__, "runtime": "event", "faults": faults,
            "ingest_policy": ingest_policy, "ingest_capacity": capacity}
     )
     result = run_policy(scenario, cfg.policy, cfg, trained)

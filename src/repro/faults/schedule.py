@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import enum
 import math
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.net.link import LinkFault
 
@@ -174,8 +174,21 @@ class FrameFaults:
         )
 
 
+#: One indexed fault window: ``(start frame, exclusive end frame or
+#: +inf, magnitude, camera id or None)``.
+_Window = Tuple[int, float, float, Optional[int]]
+
+
 class FaultSchedule:
-    """An immutable set of fault events, queried frame by frame."""
+    """An immutable set of fault events, queried frame by frame.
+
+    The per-frame queries read an index built once at construction
+    instead of scanning every event: the windows of each kind, and for
+    each (kind, camera) the windows that apply to that camera with the
+    fleet-wide ones in their sorted place. Each sub-list keeps the
+    order of :attr:`events`, so products and sums over it multiply and
+    add in the same order as a scan of the whole list would.
+    """
 
     def __init__(self, events: Sequence[FaultEvent] = ()) -> None:
         self.events: Tuple[FaultEvent, ...] = tuple(
@@ -188,12 +201,75 @@ class FaultSchedule:
                 ),
             )
         )
+        self._build_index()
+
+    def _build_index(self) -> None:
+        kinds: Dict[FaultKind, List[_Window]] = {}
+        started: Dict[int, List[FaultEvent]] = {}
+        for e in self.events:
+            end = math.inf if e.duration is None else e.start_frame + e.duration
+            kinds.setdefault(e.kind, []).append(
+                (e.start_frame, end, e.magnitude, e.camera_id)
+            )
+            started.setdefault(e.start_frame, []).append(e)
+        self._kinds: Dict[FaultKind, Tuple[_Window, ...]] = {
+            kind: tuple(windows) for kind, windows in kinds.items()
+        }
+        # (kind, None) holds the fleet-wide windows alone: the answer for
+        # every camera that no event of the kind names.
+        per_camera: Dict[Tuple[FaultKind, Optional[int]], Tuple[_Window, ...]] = {}
+        for kind, windows in self._kinds.items():
+            fleet = tuple(w for w in windows if w[3] is None)
+            if fleet:
+                per_camera[(kind, None)] = fleet
+            for cam in {w[3] for w in windows if w[3] is not None}:
+                per_camera[(kind, cam)] = tuple(
+                    w for w in windows if w[3] is None or w[3] == cam
+                )
+        self._per_camera = per_camera
+        self._started: Dict[int, Tuple[FaultEvent, ...]] = {
+            frame: tuple(events) for frame, events in started.items()
+        }
+        # A crash with no duration ends at the first rejoin after it.
+        rejoins = [w[0] for w in self._kinds.get(FaultKind.SCHEDULER_REJOIN, ())]
+        crashes: List[Tuple[int, float]] = []
+        for start, end, _, _ in self._kinds.get(FaultKind.SCHEDULER_CRASH, ()):
+            if end == math.inf:
+                end = next((r for r in rejoins if r > start), math.inf)
+            crashes.append((start, end))
+        self._scheduler_crashes: Tuple[Tuple[int, float], ...] = tuple(crashes)
+
+    def __getstate__(self) -> Dict[str, Tuple[FaultEvent, ...]]:
+        # Only the events: the index is rebuilt on load, so checkpoints
+        # stay small and interchangeable with pre-index ones.
+        return {"events": self.events}
+
+    def __setstate__(self, state: Dict[str, Tuple[FaultEvent, ...]]) -> None:
+        self.events = state["events"]
+        self._build_index()
 
     def __len__(self) -> int:
         return len(self.events)
 
     def __bool__(self) -> bool:
         return bool(self.events)
+
+    def _applying(
+        self, kind: FaultKind, camera_id: int
+    ) -> Tuple[_Window, ...]:
+        """Windows of ``kind`` that apply to ``camera_id``, in order."""
+        windows = self._per_camera.get((kind, camera_id))
+        if windows is None:
+            windows = self._per_camera.get((kind, None), ())
+        return windows
+
+    def _active_cameras(self, kind: FaultKind, frame: int) -> FrozenSet[int]:
+        """Cameras named by an active window of a camera-bound kind."""
+        return frozenset(
+            cam
+            for start, end, _, cam in self._kinds.get(kind, ())
+            if start <= frame < end and cam is not None
+        )
 
     # ------------------------------------------------------------------
     def down_cameras(self, frame: int) -> FrozenSet[int]:
@@ -204,33 +280,22 @@ class FaultSchedule:
         with a leave, which is exactly the churn that thrashes naive
         membership handling.
         """
-        crashed = set(
-            e.camera_id
-            for e in self.events
-            if e.kind is FaultKind.CAMERA_CRASH
-            and e.active_at(frame)
-            and e.camera_id is not None
-        )
-        for e in self.events:
-            if (
-                e.kind is FaultKind.CAMERA_FLAP
-                and e.active_at(frame)
-                and e.camera_id is not None
-            ):
-                period = max(1, int(e.magnitude))
-                if ((frame - e.start_frame) // period) % 2 == 0:
-                    crashed.add(e.camera_id)
-        return frozenset(crashed)
+        crashed = self._active_cameras(FaultKind.CAMERA_CRASH, frame)
+        flapping = set()
+        for start, end, magnitude, cam in self._kinds.get(
+            FaultKind.CAMERA_FLAP, ()
+        ):
+            if start > frame:
+                break
+            if frame < end and cam is not None:
+                period = max(1, int(magnitude))
+                if ((frame - start) // period) % 2 == 0:
+                    flapping.add(cam)
+        return crashed | flapping
 
     def partitioned_cameras(self, frame: int) -> FrozenSet[int]:
         """Cameras running but cut off from the scheduler at ``frame``."""
-        return frozenset(
-            e.camera_id
-            for e in self.events
-            if e.kind is FaultKind.PARTITION
-            and e.active_at(frame)
-            and e.camera_id is not None
-        )
+        return self._active_cameras(FaultKind.PARTITION, frame)
 
     def scheduler_partitioned_cameras(
         self, frame: int, camera_ids: Sequence[int]
@@ -243,15 +308,17 @@ class FaultSchedule:
         split-brain substrate rather than plain unreachability.
         """
         cut = set()
-        for e in self.events:
-            if e.kind is not FaultKind.SCHEDULER_PARTITION:
+        for start, end, _, cam in self._kinds.get(
+            FaultKind.SCHEDULER_PARTITION, ()
+        ):
+            if start > frame:
+                break
+            if frame >= end:
                 continue
-            if not e.active_at(frame):
-                continue
-            if e.camera_id is None:
+            if cam is None:
                 cut.update(camera_ids)
             else:
-                cut.add(e.camera_id)
+                cut.add(cam)
         return frozenset(cut) & frozenset(camera_ids)
 
     @property
@@ -262,30 +329,26 @@ class FaultSchedule:
         partitions — a cut camera subset may elect its own leader, so
         partitions arm the failover machinery too.
         """
-        return any(
-            e.kind in _SCHEDULER_KINDS
-            or e.kind is FaultKind.SCHEDULER_PARTITION
-            for e in self.events
+        return (
+            FaultKind.SCHEDULER_CRASH in self._kinds
+            or FaultKind.SCHEDULER_REJOIN in self._kinds
+            or FaultKind.SCHEDULER_PARTITION in self._kinds
         )
 
     @property
     def has_scheduler_partitions(self) -> bool:
         """Does any event cut cameras off from the primary scheduler?"""
-        return any(
-            e.kind is FaultKind.SCHEDULER_PARTITION for e in self.events
-        )
+        return FaultKind.SCHEDULER_PARTITION in self._kinds
 
     @property
     def has_wire_faults(self) -> bool:
         """Does any event corrupt, duplicate or reorder messages?"""
-        return any(e.kind in _WIRE_KINDS for e in self.events)
+        return any(kind in self._kinds for kind in _WIRE_KINDS)
 
     @property
     def has_ingest_bursts(self) -> bool:
         """Does any event stall frame ingest (event runtime only)?"""
-        return any(
-            e.kind is FaultKind.INGEST_BURST for e in self.events
-        )
+        return FaultKind.INGEST_BURST in self._kinds
 
     @property
     def has_sensor_faults(self) -> bool:
@@ -295,17 +358,11 @@ class FaultSchedule:
         without them the pipeline keeps its pristine code path and
         fault-free golden traces stay byte-identical.
         """
-        return any(e.kind in _SENSOR_KINDS for e in self.events)
+        return any(kind in self._kinds for kind in _SENSOR_KINDS)
 
     def frozen_cameras(self, frame: int) -> FrozenSet[int]:
         """Cameras whose sensor repeats its last frame at ``frame``."""
-        return frozenset(
-            e.camera_id
-            for e in self.events
-            if e.kind is FaultKind.SENSOR_FREEZE
-            and e.active_at(frame)
-            and e.camera_id is not None
-        )
+        return self._active_cameras(FaultKind.SENSOR_FREEZE, frame)
 
     def drift_lag(self, frame: int, camera_id: int) -> int:
         """Extra lag frames a drifting clock has accumulated at ``frame``.
@@ -316,13 +373,13 @@ class FaultSchedule:
         depth stays bounded.
         """
         lag = 0
-        for e in self.events:
-            if (
-                e.kind is FaultKind.CLOCK_DRIFT
-                and e.active_at(frame)
-                and e.camera_id == camera_id
-            ):
-                lag += int(math.floor(e.magnitude * (frame - e.start_frame + 1)))
+        for start, end, rate, _ in self._applying(
+            FaultKind.CLOCK_DRIFT, camera_id
+        ):
+            if start > frame:
+                break
+            if frame < end:
+                lag += int(math.floor(rate * (frame - start + 1)))
         return min(lag, DRIFT_LAG_CAP)
 
     def max_drift_lag(self, n_frames: int) -> int:
@@ -332,20 +389,10 @@ class FaultSchedule:
         run starts, so drifting cameras always find their lagged view.
         """
         worst = 0
-        cams = set(
-            e.camera_id
-            for e in self.events
-            if e.kind is FaultKind.CLOCK_DRIFT and e.camera_id is not None
-        )
-        for cam in cams:
-            for e in self.events:
-                if e.kind is not FaultKind.CLOCK_DRIFT or e.camera_id != cam:
-                    continue
-                last = n_frames - 1
-                if e.end_frame is not None:
-                    last = min(last, e.end_frame - 1)
-                if last >= e.start_frame:
-                    worst = max(worst, self.drift_lag(last, cam))
+        for start, end, _, cam in self._kinds.get(FaultKind.CLOCK_DRIFT, ()):
+            last = min(n_frames - 1, end - 1)
+            if cam is not None and last >= start:
+                worst = max(worst, self.drift_lag(int(last), cam))
         return min(worst, DRIFT_LAG_CAP)
 
     def fade_factor(self, frame: int, camera_id: int) -> float:
@@ -356,25 +403,27 @@ class FaultSchedule:
         *decays* rather than falling off a cliff — then holds.
         """
         factor = 1.0
-        for e in self.events:
-            if (
-                e.kind is FaultKind.QUALITY_FADE
-                and e.active_at(frame)
-                and e.camera_id == camera_id
-            ):
-                elapsed = frame - e.start_frame + 1
+        for start, end, magnitude, _ in self._applying(
+            FaultKind.QUALITY_FADE, camera_id
+        ):
+            if start > frame:
+                break
+            if frame < end:
+                elapsed = frame - start + 1
                 ramp = min(1.0, elapsed / float(FADE_RAMP_FRAMES))
-                factor *= 1.0 + (e.magnitude - 1.0) * ramp
+                factor *= 1.0 + (magnitude - 1.0) * ramp
         return factor
 
     def ingest_bursting(self, frame: int, camera_id: int) -> bool:
         """Is ``camera_id``'s frame ingest stalled by a burst at ``frame``?"""
-        return any(
-            e.kind is FaultKind.INGEST_BURST
-            and e.active_at(frame)
-            and e.applies_to(camera_id)
-            for e in self.events
-        )
+        for start, end, _, _ in self._applying(
+            FaultKind.INGEST_BURST, camera_id
+        ):
+            if start > frame:
+                break
+            if frame < end:
+                return True
+        return False
 
     def burst_release_frame(
         self, frame: int, camera_id: int, n_frames: int
@@ -386,10 +435,21 @@ class FaultSchedule:
         frame. ``None`` means the burst extends past the end of the run:
         the frame never arrives.
         """
-        release = frame
-        while release < n_frames and self.ingest_bursting(release, camera_id):
-            release += 1
-        return release if release < n_frames else None
+        windows = self._applying(FaultKind.INGEST_BURST, camera_id)
+        release: float = frame
+        while release < n_frames:
+            # Every frame up to the furthest end of the windows covering
+            # ``release`` is covered too, so jump straight past them.
+            covered_to = release
+            for start, end, _, _ in windows:
+                if start > release:
+                    break
+                if end > covered_to:
+                    covered_to = end
+            if covered_to == release:
+                return int(release)
+            release = covered_to
+        return None
 
     def scheduler_down(self, frame: int) -> bool:
         """Is the central scheduler node crashed at ``frame``?
@@ -398,33 +458,20 @@ class FaultSchedule:
         first ``SCHEDULER_REJOIN`` event after its start, or never (an
         open-ended crash with no rejoin lasts the rest of the run).
         """
-        rejoins = sorted(
-            e.start_frame
-            for e in self.events
-            if e.kind is FaultKind.SCHEDULER_REJOIN
+        return any(
+            start <= frame < end for start, end in self._scheduler_crashes
         )
-        for e in self.events:
-            if e.kind is not FaultKind.SCHEDULER_CRASH:
-                continue
-            end = e.end_frame
-            if end is None:
-                end = next(
-                    (r for r in rejoins if r > e.start_frame), None
-                )
-            if frame >= e.start_frame and (end is None or frame < end):
-                return True
-        return False
 
     def gpu_factor(self, frame: int, camera_id: int) -> float:
         """Combined (multiplicative) GPU slowdown for one camera."""
         factor = 1.0
-        for e in self.events:
-            if (
-                e.kind is FaultKind.GPU_SLOWDOWN
-                and e.active_at(frame)
-                and e.applies_to(camera_id)
-            ):
-                factor *= e.magnitude
+        for start, end, magnitude, _ in self._applying(
+            FaultKind.GPU_SLOWDOWN, camera_id
+        ):
+            if start > frame:
+                break
+            if frame < end:
+                factor *= magnitude
         return factor
 
     def loss_prob(self, frame: int, camera_id: int) -> float:
@@ -443,34 +490,33 @@ class FaultSchedule:
         self, kind: FaultKind, frame: int, camera_id: int
     ) -> float:
         survive = 1.0
-        for e in self.events:
-            if (
-                e.kind is kind
-                and e.active_at(frame)
-                and e.applies_to(camera_id)
-            ):
-                survive *= 1.0 - e.magnitude
+        for start, end, magnitude, _ in self._applying(kind, camera_id):
+            if start > frame:
+                break
+            if frame < end:
+                survive *= 1.0 - magnitude
         return 1.0 - survive
 
     def extra_delay_ms(self, frame: int, camera_id: int) -> float:
         """Summed per-message latency spike for one camera's channel."""
         return sum(
-            e.magnitude
-            for e in self.events
-            if e.kind is FaultKind.LINK_DELAY
-            and e.active_at(frame)
-            and e.applies_to(camera_id)
+            magnitude
+            for start, end, magnitude, _ in self._applying(
+                FaultKind.LINK_DELAY, camera_id
+            )
+            if start <= frame < end
         )
 
     def started_at(self, frame: int) -> Tuple[FaultEvent, ...]:
         """Events whose window opens exactly at ``frame``."""
-        return tuple(e for e in self.events if e.start_frame == frame)
+        return self._started.get(frame, ())
 
     # ------------------------------------------------------------------
     def at(self, frame: int, camera_ids: Sequence[int]) -> FrameFaults:
         """Resolve the full per-camera fault state of one frame."""
         cams = sorted(camera_ids)
-        partitioned = self.partitioned_cameras(frame) & frozenset(cams)
+        known = frozenset(cams)
+        partitioned = self.partitioned_cameras(frame) & known
         gpu = {}
         link: Dict[int, LinkFault] = {}
         drift_lags: Dict[int, int] = {}
@@ -503,7 +549,7 @@ class FaultSchedule:
                 )
         return FrameFaults(
             frame=frame,
-            down=self.down_cameras(frame) & frozenset(cams),
+            down=self.down_cameras(frame) & known,
             partitioned=partitioned,
             gpu_factor=gpu,
             link_faults=link,
@@ -515,7 +561,7 @@ class FaultSchedule:
             sched_partitioned=self.scheduler_partitioned_cameras(
                 frame, cams
             ),
-            frozen=self.frozen_cameras(frame) & frozenset(cams),
+            frozen=self.frozen_cameras(frame) & known,
             drift_lags=drift_lags,
             fade=fade,
         )

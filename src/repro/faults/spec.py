@@ -392,7 +392,9 @@ def resolve_faults(
     name from :data:`CHAOS_PRESETS`, a ready :class:`FaultSchedule`, or
     a :class:`FaultModel` to compile for this run. Returns ``None``
     whenever nothing can ever fire, so the pipeline keeps its pristine
-    fault-free code path.
+    fault-free code path. Raises ``ValueError`` when an event names a
+    camera outside ``camera_ids``: such a fault could never fire, and a
+    run that silently drops it would read as a fault-free result.
     """
     if faults is None:
         return None
@@ -413,4 +415,12 @@ def resolve_faults(
             "faults must be None, a spec string, a FaultSchedule or a "
             f"FaultModel; got {type(faults).__name__}"
         )
+    known = frozenset(camera_ids)
+    for event in faults.events:
+        if event.camera_id is not None and event.camera_id not in known:
+            raise ValueError(
+                f"{event.kind.value} fault targets camera {event.camera_id}, "
+                "which is not in the rig (cameras: "
+                f"{', '.join(str(cam) for cam in sorted(known))})"
+            )
     return faults if faults else None

@@ -235,6 +235,8 @@ class PipelineConfig:
             )
         if self.train_duration_s <= 0:
             raise ValueError("train_duration_s must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.n_horizons < 1:
@@ -1646,13 +1648,22 @@ class Pipeline:
         )
         signals: Dict[int, HealthSignals] = {}
         key_detected = work.key_detected
+        # Without drift or freeze every camera sees the same snapshot
+        # list, so hash each distinct list once (keyed by identity; all
+        # of them stay alive in ``view`` for the whole loop).
+        tokens: Dict[int, int] = {}
         for cam in state.camera_ids:
             alive = cam not in plan.down
             seen = view.lagged[cam]
             # An empty view carries no content to hash; feeding a
             # frame-unique token (negative, outside crc32's range) keeps
             # an empty scene from reading as a frozen sensor.
-            token = content_token(seen) if seen else -frame_idx - 1
+            if seen:
+                token = tokens.get(id(seen))
+                if token is None:
+                    token = tokens[id(seen)] = content_token(seen)
+            else:
+                token = -frame_idx - 1
             quality: Optional[float] = None
             if plan.is_key and cam in key_detected:
                 quality = min(

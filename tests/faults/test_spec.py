@@ -108,6 +108,25 @@ def test_resolve_is_seed_deterministic():
     assert a.events != c.events
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("crash:cam=99,at=1,for=2",
+     "camera_crash fault targets camera 99, which is not in the rig "
+     "(cameras: 0, 1, 2)"),
+    ("loss:cam=5,p=0.2",
+     "link_loss fault targets camera 5, which is not in the rig "
+     "(cameras: 0, 1, 2)"),
+])
+def test_resolve_rejects_cameras_outside_the_rig(spec, message):
+    with pytest.raises(ValueError) as exc:
+        resolve_faults(spec, [2, 0, 1], 50, seed=0)
+    assert str(exc.value) == message
+
+
+def test_resolve_accepts_fleet_wide_events_on_any_rig():
+    sched = resolve_faults("loss:p=0.2;burst:at=3,for=2", [4], 50, seed=0)
+    assert len(sched) == 2
+
+
 def test_resolve_rejects_wrong_types():
     with pytest.raises(TypeError):
         resolve_faults(42, [0], 10, seed=0)

@@ -110,6 +110,31 @@ class TestCommands:
             f"error: {name} must be finite, got {float(value)!r}"
         )
 
+    @pytest.mark.parametrize(
+        "command", ["run", "trace", "compare", "soak", "report", "experiments"]
+    )
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "must be a non-negative integer, got -1"),
+        ("x", "invalid int value: 'x'"),
+    ])
+    def test_bad_seed_is_one_error_line_before_any_work(
+        self, command, value, message, monkeypatch, capsys
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{command} ran despite a bad --seed")
+
+        monkeypatch.setattr(f"repro.cli.cmd_{command}", must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", value])
+        assert exc.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert errors == [
+            f"repro {command}: error: argument --seed: {message}"
+        ]
+
     def test_lowercase_scenario_accepted(self, capsys):
         code = main(
             ["run", "--scenario", "s2", "--policy", "balb-ind",
@@ -249,6 +274,25 @@ class TestFaultSpecErrors:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--faults", "sched_crash:cam=1,at=5"])
         assert "takes no cam=" in str(exc.value)
+
+    @pytest.mark.parametrize("command", ["run", "trace", "compare"])
+    @pytest.mark.parametrize("scenario, clause, kind, camera, rig", [
+        ("S1", "crash:cam=99,at=1,for=2", "camera_crash", 99, "0, 1, 2, 3, 4"),
+        ("S2", "freeze:cam=7,at=1,for=2", "sensor_freeze", 7, "0, 1"),
+    ])
+    def test_fault_for_camera_outside_rig_fails_before_training(
+        self, command, scenario, clause, kind, camera, rig, monkeypatch
+    ):
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained despite a bad --faults spec")
+
+        monkeypatch.setattr("repro.cli.train_models", must_not_train)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", scenario, "--faults", clause])
+        assert exc.value.code == (
+            f"error: bad --faults spec: {kind} fault targets camera "
+            f"{camera}, which is not in the rig (cameras: {rig})"
+        )
 
     def test_faults_and_chaos_mutually_exclusive(self):
         with pytest.raises(SystemExit) as exc:

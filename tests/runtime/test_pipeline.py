@@ -68,6 +68,10 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="train_duration_s must be positive"):
             PipelineConfig(train_duration_s=value)
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative"):
+            PipelineConfig(seed=-1)
+
     def test_retry_policy_reflects_link_knobs(self):
         config = PipelineConfig(link_timeout_ms=80.0, link_max_retries=5,
                                 link_backoff_ms=10.0)
